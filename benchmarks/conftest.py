@@ -5,9 +5,11 @@ with pytest-benchmark, and prints the rows/series the paper reports so the
 run log doubles as the reproduction record (EXPERIMENTS.md is built from
 these outputs).
 
-Every benchmark run also writes ``BENCH_<NAME>.json`` (one per bench
-module) into the repo root — the same files CI uploads as artifacts — so
-the in-repo perf trajectory updates from plain local runs too.
+A ``--benchmark-only`` run also writes ``BENCH_<NAME>.json`` (one per
+bench module) into the repo root — the same files CI uploads as
+artifacts — so the in-repo perf trajectory updates from local benchmark
+runs too.  A plain test run (the tier-1 suite, which also executes the
+benches once) writes nothing, so it leaves the checkout clean.
 
 Run:  pytest benchmarks/ --benchmark-only -s
 """
@@ -21,6 +23,9 @@ from pathlib import Path
 import pytest
 
 from repro.experiments import get_experiment
+
+#: where the ``BENCH_<NAME>.json`` records go (the repository root)
+RECORD_DIR = Path(__file__).resolve().parent.parent
 
 
 def run_and_report(benchmark, experiment_id: str, *, fast: bool = True, plots: bool = True):
@@ -39,13 +44,15 @@ def pytest_sessionfinish(session, exitstatus):
     """Persist per-module benchmark stats as BENCH_<NAME>.json in-repo.
 
     ``--benchmark-json`` only writes where CI points it; this hook writes
-    the same trajectory locally on every benchmark run (and never fails
-    the session — an unwritable checkout just skips the record).
+    the same trajectory locally on every ``--benchmark-only`` run (and
+    never fails the session — an unwritable checkout just skips the
+    record).  Other runs write nothing.
     """
+    if not session.config.getoption("benchmark_only", default=False):
+        return
     bench_session = getattr(session.config, "_benchmarksession", None)
     if bench_session is None or not bench_session.benchmarks:
         return
-    root = Path(__file__).resolve().parent.parent
     by_module: dict[str, list] = {}
     for bench in bench_session.benchmarks:
         stem = Path(bench.fullname.split("::")[0]).stem
@@ -61,7 +68,7 @@ def pytest_sessionfinish(session, exitstatus):
             "benchmarks": rows,
         }
         try:
-            (root / f"BENCH_{label}.json").write_text(
+            (RECORD_DIR / f"BENCH_{label}.json").write_text(
                 json.dumps(payload, indent=2, default=str) + "\n",
                 encoding="utf-8",
             )

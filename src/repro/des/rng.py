@@ -43,14 +43,26 @@ class RandomStreams:
         """
         if not name:
             raise ConfigurationError("stream name must be non-empty")
-        if name not in self._streams:
+        stream = self._streams.get(name)
+        if stream is None:
             # Deterministic, order-independent derivation: fold the name
-            # bytes into the spawn key.
-            key = [self.seed] + list(name.encode("utf-8"))
-            self._streams[name] = np.random.Generator(
+            # bytes into the spawn key ``[seed, *name bytes]``.
+            raw = name.encode("utf-8")
+            if 0 <= self.seed < 2**32:
+                # The same key as a uint32 array: SeedSequence splits a
+                # list's ints into uint32 words itself, so one word per
+                # element gives the identical state, several times faster.
+                key = np.empty(len(raw) + 1, dtype=np.uint32)
+                key[0] = self.seed
+                key[1:] = np.frombuffer(raw, dtype=np.uint8)
+            else:
+                # A seed of 2**32 or more spans several words: let
+                # SeedSequence split it, as it always has.
+                key = [self.seed] + list(raw)
+            stream = self._streams[name] = np.random.Generator(
                 np.random.PCG64(np.random.SeedSequence(key))
             )
-        return self._streams[name]
+        return stream
 
     def fork(self, label: str) -> "RandomStreams":
         """A child registry for a sub-component (e.g. one client)."""

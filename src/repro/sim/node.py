@@ -531,7 +531,10 @@ class ProxyNode:
         spec = sim.config.workload
         arrivals = spec.make_arrivals(client_id)
         arrival_rng = sim.streams.get(f"client{client_id}/arrivals")
-        handle_request = self.request_handler(client_id, controller)
+        # Built on the first arrival: most clients of a large population
+        # never arrive inside a short run, and the handler's closures are
+        # pure (building them later changes nothing they compute).
+        handle_request = None
 
         # Batched reference stream: bit-identical to per-request
         # next_item() because the items RNG is dedicated per client.
@@ -539,6 +542,8 @@ class ProxyNode:
         while True:
             yield self.env.timeout(arrivals.next_gap(arrival_rng))
             item = next(items)
+            if handle_request is None:
+                handle_request = self.request_handler(client_id, controller)
             # Open-loop arrivals: requests are spawned, not awaited, so the
             # request rate is unaffected by congestion or prefetching —
             # exactly the paper's §2.1 assumption.
@@ -575,7 +580,7 @@ class ProxyNode:
         env = self.env
         phase_arrivals = spec.make_phase_arrivals(schedule, client_id)
         arrival_rng = sim.streams.get(f"client{client_id}/arrivals")
-        handle_request = self.request_handler(client_id, controller)
+        handle_request = None  # built on the first arrival, as in client_process
         variant_of_phase = schedule.variant_of_phase
         locate = schedule.locate
 
@@ -590,6 +595,8 @@ class ProxyNode:
             t = t2
             yield env.at(t)
             item = next(item_streams[variant_of_phase[idx]])
+            if handle_request is None:
+                handle_request = self.request_handler(client_id, controller)
             # Open-loop arrivals, same as client_process.
             env.process(handle_request(item))
 

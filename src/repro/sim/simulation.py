@@ -41,10 +41,12 @@ a shard (its homed clients' requests, its link's utilisation) and
 
 from __future__ import annotations
 
+import gc
 import math
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Hashable, Sequence
+from typing import Hashable, Iterator, Sequence
 
 from repro.cache.interaction import make_cache
 from repro.core.parameters import SystemParameters
@@ -98,6 +100,42 @@ from repro.workload.replay import TraceReplaySource
 from repro.workload.zipf import shared_catalog
 
 __all__ = ["Simulation", "run_simulation", "SimulationOutput", "ProxyShardStats"]
+
+
+@contextmanager
+def _collector_scope(*, freeze: bool) -> Iterator[None]:
+    """Keep CPython's cyclic collector off the simulation's long-lived graph.
+
+    A client build allocates hundreds of thousands of tracked objects
+    (caches, controllers, generators), all of which live for the whole
+    run; every full collection would rescan them.  ``freeze=False`` pauses
+    the collector for the block (a build creates no garbage worth
+    collecting).  ``freeze=True`` moves everything tracked so far into
+    the permanent generation for the block, so collections during the
+    event loop scan only what the run itself allocates.
+
+    The caller's state is restored on exit, also when the block raises:
+    a collector the caller disabled stays disabled, and nothing stays
+    frozen.  A caller that froze objects itself is left alone (unfreezing
+    on exit would thaw its objects too).
+    """
+    if freeze:
+        if gc.get_freeze_count():
+            yield
+            return
+        gc.freeze()
+        try:
+            yield
+        finally:
+            gc.unfreeze()
+        return
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class _TrueDistributionPredictor(Predictor):
@@ -354,7 +392,8 @@ class Simulation:
                 RuntimeWarning,
                 stacklevel=2,
             )
-        self._build_clients()
+        with _collector_scope(freeze=False):
+            self._build_clients()
         # Fault injection: only a NON-empty schedule installs anything —
         # no events, no rebound closures, no extra ring for empty/None
         # schedules, keeping fault-free runs bit-identical to PR 9.
@@ -545,6 +584,17 @@ class Simulation:
             owned = self.__dict__["_owned_cache"] = set(self.only_nodes or ())
         return owned
 
+    def _eviction_rng(self, label: str):
+        """The ``<label>/evictions`` stream, derived only for its consumer.
+
+        Only the ``random`` cache policy draws evictions; every other
+        policy gets ``None`` (``make_cache`` ignores it).  Streams are
+        name-keyed, so skipping one shifts no other stream.
+        """
+        if self.config.cache_policy.lower() != "random":
+            return None
+        return self.streams.get(f"{label}/evictions")
+
     def _build_clients(self) -> None:
         config = self.config
         if config.client_backend == "aggregated":
@@ -594,7 +644,7 @@ class Simulation:
             cache = make_cache(
                 config.cache_policy,
                 node.cache_capacity,
-                rng=self.streams.get(f"client{c}/evictions"),
+                rng=self._eviction_rng(f"client{c}"),
                 value_fn=lambda key, p=predictor: p.probability(key),
             )
             policy = _build_policy(
@@ -742,7 +792,7 @@ class Simulation:
             cache = make_cache(
                 config.cache_policy,
                 node.cache_capacity,
-                rng=self.streams.get(f"{label}/evictions"),
+                rng=self._eviction_rng(label),
                 value_fn=lambda key, p=predictor: p.probability(key),
             )
             policy = _build_policy(
@@ -808,7 +858,8 @@ class Simulation:
     def run(self) -> SimulationOutput:
         if self._plan is not None:
             return self._run_parallel()
-        self.env.run(until=self.config.duration)
+        with _collector_scope(freeze=True):
+            self.env.run(until=self.config.duration)
         shards = tuple(
             ProxyShardStats(
                 node_id=node.node_id,
@@ -897,7 +948,8 @@ class Simulation:
         duration = self.config.duration
         if window is None or not math.isfinite(window) or window <= 0:
             window = duration
-        run_windows(self.env, until=duration, window=window)
+        with _collector_scope(freeze=True):
+            run_windows(self.env, until=duration, window=window)
         owned = (
             self.only_nodes
             if self.only_nodes is not None

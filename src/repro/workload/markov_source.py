@@ -151,12 +151,20 @@ class MarkovChainSource:
         The consumers that draw one item at a time (the live simulation's
         client processes, trace generation) iterate this instead of calling
         :meth:`next_item` per request: the source's RNG stream is dedicated,
-        so pre-generating ``block`` items consumes it exactly as per-draw
-        calls would, and trailing unconsumed items at the end of a run touch
+        so pre-generating items consumes it exactly as per-draw calls
+        would, and trailing unconsumed items at the end of a run touch
         state nothing else reads.
+
+        Blocks grow 1, 2, 4, … up to ``block`` items: a client that makes
+        one request in a run generates one item, not ``block``.  Back-to-back
+        :meth:`generate` calls are bit-identical to one call of their total
+        size, so the block sizes never change the items.
         """
+        size = 1
         while True:
-            yield from self.generate(block)
+            yield from self.generate(size)
+            if size < block:
+                size = min(2 * size, block)
 
     # ------------------------------------------------------------------
     # Ground truth (what an ideal predictor would report)

@@ -1,9 +1,42 @@
 """Tests for reproducible random streams."""
 
+import numpy as np
 import pytest
 
 from repro.des import RandomStreams
 from repro.errors import ConfigurationError
+
+#: seeds on both sides of the one-uint32-word boundary of the fast key path
+SEEDS = [0, 7, 2**32 - 1, 2**32, 2**40]
+NAMES = ["arrivals", "client19999/items", "café/Ωmega", "客户端/evictions"]
+
+
+class TestStreamDerivation:
+    """``get(name)`` is ``SeedSequence([seed, *name bytes])``, exactly."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("name", NAMES)
+    def test_state_matches_list_key(self, seed, name):
+        key = [seed] + list(name.encode("utf-8"))
+        expected = np.random.PCG64(np.random.SeedSequence(key)).state
+        assert RandomStreams(seed).get(name).bit_generator.state == expected
+
+    @pytest.mark.parametrize(
+        "seed,name,first",
+        [
+            (0, "arrivals", 0.8126781072589359),
+            (7, "client0/items", 0.7883752524563973),
+            (2**32 - 1, "origin/sizes", 0.7924913145139321),
+            (2**32, "client3/arrivals", 0.5792862216982573),
+            (2**40, "sizes", 0.5816617008968993),
+            (7, "café/Ωmega", 0.004589233537691584),
+            (7, "客户端/items", 0.43756275312363324),
+        ],
+    )
+    def test_pinned_first_draws(self, seed, name, first):
+        # Literal values: any change to how streams are derived shifts
+        # every simulation result, so it has to fail here first.
+        assert RandomStreams(seed).get(name).random() == first
 
 
 class TestRandomStreams:

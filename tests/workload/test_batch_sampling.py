@@ -6,10 +6,15 @@ The batched samplers (`ZipfCatalog.sample_batch`, vectorized
 after — so batch and scalar generation are interchangeable mid-stream.
 """
 
+from itertools import islice
+
 import numpy as np
 import pytest
 
+from repro.sim import SimulationConfig, run_simulation
+from repro.sim.simulation import Simulation
 from repro.workload.markov_source import MarkovChainSource
+from repro.workload.sessions import WorkloadSpec
 from repro.workload.zipf import ZipfCatalog
 
 
@@ -99,3 +104,103 @@ class TestMarkovGenerateBatch:
         assert src.generate(0) == []
         assert src.generate(-3) == []
         assert _state(src._rng) == state_before
+
+
+class TestGrowingBlockStream:
+    """``stream()`` generates 1, 2, 4, … items per block, capped at ``block``."""
+
+    @staticmethod
+    def _sources(q):
+        cat = ZipfCatalog(60, exponent=0.9)
+        return [
+            MarkovChainSource(cat, follow_probability=q, rng=np.random.default_rng(13))
+            for _ in range(3)
+        ]
+
+    @pytest.mark.parametrize("q", [0.0, 0.5, 1.0])
+    def test_items_match_generate_and_next_item(self, q):
+        streamed, bulk, scalar = self._sources(q)
+        count = 100  # crosses the cap: blocks 1, 2, 4, 8, 8, …
+        got = list(islice(streamed.stream(block=8), count))
+        assert got == bulk.generate(count)
+        assert got == [scalar.next_item() for _ in range(count)]
+
+    @pytest.mark.parametrize("q", [0.0, 0.5, 1.0])
+    def test_rng_state_at_block_boundaries(self, q):
+        streamed, bulk, scalar = self._sources(q)
+        items = streamed.stream(block=8)
+        consumed = 0
+        # Each block is generated when its first item is taken, so after
+        # the last item of a block the stream has drawn exactly that much.
+        for size in (1, 2, 4, 8, 8, 8):
+            consumed += size
+            list(islice(items, size))
+            bulk.generate(size)
+            assert _state(streamed._rng) == _state(bulk._rng)
+        for _ in range(consumed):
+            scalar.next_item()
+        assert _state(streamed._rng) == _state(scalar._rng)
+
+
+def _random_cache_config(backend, cache_policy="random"):
+    return SimulationConfig(
+        workload=WorkloadSpec(
+            num_clients=3,
+            request_rate=20.0,
+            catalog_size=100,
+            zipf_exponent=0.9,
+            follow_probability=0.7,
+        ),
+        bandwidth=50.0,
+        cache_capacity=8,
+        cache_policy=cache_policy,
+        predictor="markov",
+        policy="threshold-dynamic",
+        duration=40.0,
+        warmup=5.0,
+        seed=7,
+        client_backend=backend,
+    )
+
+
+class TestEvictionStreams:
+    """Only the ``random`` cache policy derives ``…/evictions`` streams."""
+
+    @staticmethod
+    def _eviction_streams(sim):
+        return [name for name in sim.streams._streams if name.endswith("/evictions")]
+
+    @pytest.mark.parametrize("backend", ["per-client", "aggregated"])
+    def test_lru_build_derives_no_eviction_stream(self, backend):
+        sim = Simulation(_random_cache_config(backend, cache_policy="lru"))
+        assert self._eviction_streams(sim) == []
+
+    def test_random_build_derives_one_per_cache(self):
+        sim = Simulation(_random_cache_config("per-client"))
+        assert sorted(self._eviction_streams(sim)) == [
+            f"client{c}/evictions" for c in range(3)
+        ]
+
+    @pytest.mark.parametrize(
+        "backend,pinned",
+        [
+            # requests, hit_ratio, mean_access_time, evictions,
+            # prefetch fetches, demand fetches, caches
+            ("per-client", (717, 0.4755927475592748, 0.02445427626673708,
+                            1022, 658, 389, 3)),
+            ("aggregated", (712, 0.2598314606741573, 0.02381636333505642,
+                            805, 210, 603, 1)),
+        ],
+    )
+    def test_random_cache_metrics_pinned(self, backend, pinned):
+        out = run_simulation(_random_cache_config(backend))
+        m = out.metrics
+        assert (
+            m.requests,
+            m.hit_ratio,
+            m.mean_access_time,
+            sum(c.evictions for c in out.cache_stats),
+            out.link_prefetch_fetches,
+            out.link_demand_fetches,
+            len(out.cache_stats),
+        ) == pinned
