@@ -17,17 +17,30 @@ the related-work section surveys so the full simulation is self-contained:
   upper bound (TIP/ACFS stand-in [8, 2]).
 
 All predictors are *online*: ``record(item)`` observes one access,
-``predict()`` returns ``(item, probability)`` candidates for the next one.
+``predict_above(floor)`` returns the ``(item, probability)`` candidates
+for the next one whose probability exceeds ``floor``, and ``predict()``
+returns all of them.
 """
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from typing import Hashable, Sequence
 
-__all__ = ["Predictor"]
+__all__ = ["Predictor", "ranked"]
 
 Item = Hashable
+
+
+def _rank(pair: tuple[Item, float]) -> tuple[float, str]:
+    return (-pair[1], str(pair[0]))
+
+
+def ranked(candidates: list[tuple[Item, float]]) -> list[tuple[Item, float]]:
+    """Sort ``candidates`` in place by ``(−p, str(item))`` and return them."""
+    candidates.sort(key=_rank)
+    return candidates
 
 
 class Predictor(ABC):
@@ -41,13 +54,23 @@ class Predictor(ABC):
         """Observe one access (updates the model's internal state)."""
 
     @abstractmethod
-    def predict(self, limit: int | None = None) -> list[tuple[Item, float]]:
-        """Candidates for the *next* access, as ``(item, probability)``.
+    def predict_above(self, floor: float) -> list[tuple[Item, float]]:
+        """Candidates for the *next* access with probability ``p > floor``.
 
-        Probabilities are with respect to the next request (they sum to at
-        most 1 over all candidates); sorted descending.  ``limit`` truncates
-        after sorting.
+        Returned as ``(item, probability)``, most probable first (the
+        learned models break ties by ``str(item)``; ``ranked`` does that).
+        Probabilities are with respect to the next request
+        (they sum to at most 1 over all candidates).  Implementations drop
+        the candidates at or below ``floor`` before they sort, so a
+        prefetch decision pays only for the candidates it can use; a NaN
+        floor admits nothing.
         """
+
+    def predict(self, limit: int | None = None) -> list[tuple[Item, float]]:
+        """Every candidate for the next access, ``limit`` truncating after
+        the sort (``predict_above(-inf)``)."""
+        dist = self.predict_above(-math.inf)
+        return dist[:limit] if limit is not None else dist
 
     def probability(self, item: Item) -> float:
         """Point query for one item's next-access probability."""

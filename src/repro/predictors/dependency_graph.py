@@ -15,7 +15,7 @@ from collections import Counter, deque
 from typing import Optional
 
 from repro.errors import ParameterError
-from repro.predictors.base import Item, Predictor
+from repro.predictors.base import Item, Predictor, ranked
 
 __all__ = ["DependencyGraphPredictor"]
 
@@ -48,25 +48,26 @@ class DependencyGraphPredictor(Predictor):
             if source == item or source in seen_sources:
                 continue  # self-loops and duplicate sources don't re-count
             seen_sources.add(source)
-            self._edges.setdefault(source, Counter())[item] += 1
+            out = self._edges.get(source)
+            if out is None:
+                out = self._edges[source] = Counter()
+            out[item] += 1
         self._node_count[item] += 1
         self._recent.append(item)
         self._last = item
 
-    def predict(self, limit: int | None = None) -> list[tuple[Item, float]]:
+    def predict_above(self, floor: float) -> list[tuple[Item, float]]:
         if self._last is None:
             return []
         out = self._edges.get(self._last)
         if not out:
             return []
         denominator = self._node_count[self._last]
-        dist = [
-            (item, count / denominator)
+        return ranked([
+            (item, p)
             for item, count in out.items()
-            if denominator > 0
-        ]
-        dist.sort(key=lambda pair: (-pair[1], str(pair[0])))
-        return dist[:limit] if limit is not None else dist
+            if (p := count / denominator) > floor
+        ])
 
     def reset(self) -> None:
         self.__init__(window=self.window)  # type: ignore[misc]

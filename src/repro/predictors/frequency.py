@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import Counter
 
 from repro.errors import ParameterError
-from repro.predictors.base import Item, Predictor
+from repro.predictors.base import Item, Predictor, ranked
 
 __all__ = ["FrequencyPredictor"]
 
@@ -45,13 +45,15 @@ class FrequencyPredictor(Predictor):
                 self._scale = 1.0
         self._weights[item] = self._weights.get(item, 0.0) + self._scale
 
-    def predict(self, limit: int | None = None) -> list[tuple[Item, float]]:
+    def predict_above(self, floor: float) -> list[tuple[Item, float]]:
         total = sum(self._weights.values())
         if total <= 0.0:
             return []
-        dist = [(item, w / total) for item, w in self._weights.items()]
-        dist.sort(key=lambda pair: (-pair[1], str(pair[0])))
-        return dist[:limit] if limit is not None else dist
+        return ranked([
+            (item, p)
+            for item, w in self._weights.items()
+            if (p := w / total) > floor
+        ])
 
     def reset(self) -> None:
         self.__init__(decay=self.decay)  # type: ignore[misc]

@@ -15,10 +15,8 @@ for rarely-seen successors.
 from __future__ import annotations
 
 from collections import Counter, deque
-from typing import Hashable
-
 from repro.errors import ParameterError
-from repro.predictors.base import Item, Predictor
+from repro.predictors.base import Item, Predictor, ranked
 
 __all__ = ["MarkovPredictor"]
 
@@ -64,13 +62,16 @@ class MarkovPredictor(Predictor):
             if len(history) < k:
                 break
             ctx = history[len(history) - k :]
-            table = self._counts[k].setdefault(ctx, Counter())
+            counts = self._counts[k]
+            table = counts.get(ctx)
+            if table is None:
+                table = counts[ctx] = Counter()
             table[item] += 1
         self._popularity[item] += 1
         self._total += 1
         self._recent.append(item)
 
-    def _distribution(self) -> list[tuple[Item, float]]:
+    def predict_above(self, floor: float) -> list[tuple[Item, float]]:
         history = tuple(self._recent)
         for k in range(min(self.order, len(history)), -1, -1):
             ctx = history[len(history) - k :] if k else ()
@@ -78,15 +79,17 @@ class MarkovPredictor(Predictor):
             if table:
                 alpha = self.smoothing
                 total = sum(table.values()) + alpha * len(table)
-                return [
-                    (item, (count + alpha) / total) for item, count in table.items()
-                ]
+                # Division by a positive total is monotone, so the largest
+                # count gives the largest p: nothing clears the floor
+                # unless it does.
+                if not (max(table.values()) + alpha) / total > floor:
+                    return []
+                return ranked([
+                    (item, p)
+                    for item, count in table.items()
+                    if (p := (count + alpha) / total) > floor
+                ])
         return []
-
-    def predict(self, limit: int | None = None) -> list[tuple[Item, float]]:
-        dist = self._distribution()
-        dist.sort(key=lambda pair: (-pair[1], str(pair[0])))
-        return dist[:limit] if limit is not None else dist
 
     def reset(self) -> None:
         self.__init__(order=self.order, smoothing=self.smoothing)  # type: ignore[misc]

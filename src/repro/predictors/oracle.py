@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from repro.errors import ParameterError
-from repro.predictors.base import Item, Predictor
+from repro.predictors.base import Item, Predictor, ranked
 
 __all__ = ["OraclePredictor", "DistributionOracle"]
 
@@ -50,13 +50,13 @@ class OraclePredictor(Predictor):
         if self._cursor < len(self._future) and self._future[self._cursor] == item:
             self._cursor += 1
 
-    def predict(self, limit: int | None = None) -> list[tuple[Item, float]]:
+    def predict_above(self, floor: float) -> list[tuple[Item, float]]:
+        """The revealed upcoming requests, each certain (p = 1), in
+        request order."""
+        if not 1.0 > floor:
+            return []
         horizon = self._future[self._cursor : self._cursor + self.lookahead]
-        seen: dict[Item, float] = {}
-        for item in horizon:
-            seen.setdefault(item, 1.0)  # certain to be requested
-        out = list(seen.items())
-        return out[:limit] if limit is not None else out
+        return [(item, 1.0) for item in dict.fromkeys(horizon)]
 
     @property
     def remaining(self) -> int:
@@ -89,9 +89,8 @@ class DistributionOracle(Predictor):
     def record(self, item: Item) -> None:  # noqa: B027 - stationary model
         pass
 
-    def predict(self, limit: int | None = None) -> list[tuple[Item, float]]:
-        dist = sorted(self._dist.items(), key=lambda pair: (-pair[1], str(pair[0])))
-        return dist[:limit] if limit is not None else dist
+    def predict_above(self, floor: float) -> list[tuple[Item, float]]:
+        return ranked([pair for pair in self._dist.items() if pair[1] > floor])
 
     def probability(self, item: Item) -> float:
         return self._dist.get(item, 0.0)

@@ -17,7 +17,7 @@ so the final probability of candidate ``y`` is
 
 Exclusion of already-counted symbols is deliberately omitted (it changes
 probabilities by a factor irrelevant to threshold *ranking* and keeps the
-code transparent); the docstring of :meth:`predict` notes the consequence:
+code transparent); the docstring of :meth:`predict_above` notes the consequence:
 probabilities can slightly *undershoot*, never overshoot, which is the
 conservative direction for a prefetcher deciding against ``p_th``.
 """
@@ -27,7 +27,7 @@ from __future__ import annotations
 from collections import Counter, deque
 
 from repro.errors import ParameterError
-from repro.predictors.base import Item, Predictor
+from repro.predictors.base import Item, Predictor, ranked
 
 __all__ = ["PPMPredictor"]
 
@@ -66,12 +66,16 @@ class PPMPredictor(Predictor):
             if len(history) < k:
                 break
             ctx = history[len(history) - k :]
-            self._counts[k].setdefault(ctx, Counter())[item] += 1
+            counts = self._counts[k]
+            table = counts.get(ctx)
+            if table is None:
+                table = counts[ctx] = Counter()
+            table[item] += 1
         self._vocabulary.add(item)
         self._recent.append(item)
 
-    def predict(self, limit: int | None = None) -> list[tuple[Item, float]]:
-        """Blended next-item distribution.
+    def predict_above(self, floor: float) -> list[tuple[Item, float]]:
+        """Blended next-item distribution, above ``floor``.
 
         The returned probabilities sum to ``1 − (escape mass at order 0)``,
         i.e. they leave room for never-seen items — a proper sub-probability
@@ -93,8 +97,7 @@ class PPMPredictor(Predictor):
             carry *= d / denom
             if carry <= 1e-12:
                 break
-        dist = sorted(scores.items(), key=lambda pair: (-pair[1], str(pair[0])))
-        return dist[:limit] if limit is not None else dist
+        return ranked([pair for pair in scores.items() if pair[1] > floor])
 
     def reset(self) -> None:
         self.__init__(max_order=self.max_order)  # type: ignore[misc]

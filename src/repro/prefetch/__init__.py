@@ -8,12 +8,13 @@ from repro.prefetch.heuristics import (
     PrefetchAllPolicy,
     TopKPolicy,
 )
-from repro.prefetch.policy import PolicyContext, PrefetchPolicy
+from repro.prefetch.policy import CutoffPolicy, PolicyContext, PrefetchPolicy
 from repro.prefetch.threshold import DynamicThresholdPolicy, StaticThresholdPolicy
 
 __all__ = [
     "AccessOutcome",
     "AdaptiveUtilizationPolicy",
+    "CutoffPolicy",
     "DynamicThresholdPolicy",
     "FixedThresholdPolicy",
     "NoPrefetchPolicy",

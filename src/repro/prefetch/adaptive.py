@@ -17,15 +17,14 @@ estimated utilisation approaches ``ρ_target`` the cutoff rises to ``p_max``
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 from repro.errors import ParameterError
-from repro.prefetch.policy import Candidate, PolicyContext, PrefetchPolicy
+from repro.prefetch.policy import CutoffPolicy, PolicyContext
 
 __all__ = ["AdaptiveUtilizationPolicy"]
 
 
-class AdaptiveUtilizationPolicy(PrefetchPolicy):
+class AdaptiveUtilizationPolicy(CutoffPolicy):
     """Utilisation-governed probability cutoff.
 
     Parameters
@@ -62,10 +61,5 @@ class AdaptiveUtilizationPolicy(PrefetchPolicy):
         frac = min(max(estimated_utilization / self.rho_target, 0.0), 1.0)
         return self.p_min + (self.p_max - self.p_min) * frac
 
-    def select(
-        self, candidates: Sequence[Candidate], context: PolicyContext
-    ) -> list[Candidate]:
-        cut = self.cutoff(context.estimated_utilization)
-        chosen = [(i, p) for i, p in context.eligible(candidates) if p > cut]
-        chosen.sort(key=lambda pair: -pair[1])
-        return chosen
+    def decision_cutoff(self, context: PolicyContext) -> float:
+        return self.cutoff(context.load())

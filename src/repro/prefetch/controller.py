@@ -22,15 +22,19 @@ Responsibilities:
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Hashable, Optional
+from dataclasses import dataclass
+from typing import Callable, Hashable, Optional
 
 from repro.cache.base import Cache
 from repro.errors import SimulationError
 from repro.estimation.utilization import ThresholdEstimator
 from repro.predictors.base import Predictor
-from repro.prefetch.policy import Candidate, PolicyContext, PrefetchPolicy
+from repro.prefetch.policy import (
+    Candidate,
+    PolicyContext,
+    PrefetchPolicy,
+    unknown_load,
+)
 
 __all__ = ["PrefetchController", "AccessOutcome"]
 
@@ -222,25 +226,23 @@ class PrefetchController:
         self,
         *,
         now: float,
-        estimated_utilization: float = float("nan"),
+        load: Callable[[], float] = unknown_load,
     ) -> list[Candidate]:
         """Decide what to prefetch after the current request.
 
-        Marks returned items in-flight — the caller *must* eventually call
-        :meth:`on_fetch_complete` or :meth:`on_fetch_failed` for each.
+        ``load`` returns the live utilisation estimate; only a policy that
+        reads it calls it.  Marks returned items in-flight — the caller
+        *must* eventually call :meth:`on_fetch_complete` or
+        :meth:`on_fetch_failed` for each.
         """
-        candidates = self.predictor.predict()
         context = PolicyContext(
             now=now,
             bandwidth=self.bandwidth,
-            estimated_threshold=(
-                self.estimator.threshold() if self.estimator is not None else math.nan
-            ),
-            estimated_utilization=estimated_utilization,
+            load=load,
             in_cache=self.cache,
             in_flight=self._pending_view,
         )
-        chosen = self.policy.select(candidates, context)
+        chosen = self.policy.plan(self.predictor, context)
         for item, _p in chosen:
             if item in self._in_flight:
                 raise SimulationError(

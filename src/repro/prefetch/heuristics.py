@@ -17,7 +17,8 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.errors import ParameterError
-from repro.prefetch.policy import Candidate, PolicyContext, PrefetchPolicy
+from repro.predictors.base import Predictor
+from repro.prefetch.policy import Candidate, CutoffPolicy, PolicyContext, PrefetchPolicy
 
 __all__ = [
     "NoPrefetchPolicy",
@@ -32,13 +33,16 @@ class NoPrefetchPolicy(PrefetchPolicy):
 
     name = "none"
 
+    def plan(self, predictor: Predictor, context: PolicyContext) -> list[Candidate]:
+        return []  # nothing to decide: the predictor is never asked
+
     def select(
         self, candidates: Sequence[Candidate], context: PolicyContext
     ) -> list[Candidate]:
         return []
 
 
-class FixedThresholdPolicy(PrefetchPolicy):
+class FixedThresholdPolicy(CutoffPolicy):
     """Prefetch items with ``p > p0`` for a fixed, load-independent p0.
 
     When ``p0`` happens to equal the true ``p_th`` this coincides with the
@@ -53,12 +57,8 @@ class FixedThresholdPolicy(PrefetchPolicy):
             raise ParameterError(f"p0 must be in [0, 1], got {p0!r}")
         self.p0 = float(p0)
 
-    def select(
-        self, candidates: Sequence[Candidate], context: PolicyContext
-    ) -> list[Candidate]:
-        chosen = [(i, p) for i, p in context.eligible(candidates) if p > self.p0]
-        chosen.sort(key=lambda pair: -pair[1])
-        return chosen
+    def decision_cutoff(self, context: PolicyContext) -> float:
+        return self.p0
 
 
 class TopKPolicy(PrefetchPolicy):

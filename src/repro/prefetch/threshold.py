@@ -14,19 +14,16 @@ Two flavours:
 
 from __future__ import annotations
 
-import math
-from typing import Sequence
-
 from repro.core.parameters import SystemParameters
 from repro.core.thresholds import threshold_model_a, threshold_model_b
 from repro.errors import ParameterError
 from repro.estimation.utilization import ThresholdEstimator
-from repro.prefetch.policy import Candidate, PolicyContext, PrefetchPolicy
+from repro.prefetch.policy import Candidate, CutoffPolicy, PolicyContext
 
 __all__ = ["StaticThresholdPolicy", "DynamicThresholdPolicy"]
 
 
-class StaticThresholdPolicy(PrefetchPolicy):
+class StaticThresholdPolicy(CutoffPolicy):
     """Prefetch all eligible items with ``p > p_th(params)``.
 
     Parameters
@@ -71,17 +68,11 @@ class StaticThresholdPolicy(PrefetchPolicy):
         self.model = model
         self.budget = budget
 
-    def select(
-        self, candidates: Sequence[Candidate], context: PolicyContext
-    ) -> list[Candidate]:
-        chosen = [
-            (item, p) for item, p in context.eligible(candidates) if p > self.p_th
-        ]
-        chosen.sort(key=lambda pair: -pair[1])
-        return chosen[: self.budget] if self.budget is not None else chosen
+    def decision_cutoff(self, context: PolicyContext) -> float:
+        return self.p_th
 
 
-class DynamicThresholdPolicy(PrefetchPolicy):
+class DynamicThresholdPolicy(CutoffPolicy):
     """Threshold rule driven by live estimates (the deployable variant).
 
     The policy owns a :class:`ThresholdEstimator`; the controller feeds it
@@ -123,18 +114,15 @@ class DynamicThresholdPolicy(PrefetchPolicy):
             n_f=self.mean_prefetch_count,
         )
 
-    def select(
-        self, candidates: Sequence[Candidate], context: PolicyContext
-    ) -> list[Candidate]:
+    def decision_cutoff(self, context: PolicyContext) -> float:
+        # This decision counts towards n̄(F) before p̂_th reads it; a NaN
+        # p̂_th (warm-up) admits nothing: abstain rather than guess.
         self._requests_seen += 1
-        p_th = self.current_threshold()
-        if math.isnan(p_th):
-            return []  # warm-up: abstain rather than guess
-        chosen = [
-            (item, p) for item, p in context.eligible(candidates) if p > p_th
-        ]
-        chosen.sort(key=lambda pair: -pair[1])
-        if self.budget is not None:
-            chosen = chosen[: self.budget]
+        return self.current_threshold()
+
+    def _choose(
+        self, above: list[Candidate], context: PolicyContext
+    ) -> list[Candidate]:
+        chosen = super()._choose(above, context)
         self._prefetches_issued += len(chosen)
         return chosen

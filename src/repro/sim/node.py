@@ -244,6 +244,10 @@ class ProxyNode:
         self.controllers: list["PrefetchController"] = []
         self.caches: list = []
         self.fetch_tables: dict[int, FetchTable] = {}
+        #: this node's load estimate for its clients' planners, bound once
+        #: per node; it reads ``sim.planning_load`` when called, so the
+        #: orchestrator's routing-aware estimate applies
+        self.load_estimate = lambda: sim.planning_load(self)
         #: False only for the inert *skeleton* nodes a shard-group worker
         #: of the parallel node backend builds for foreign shards (the
         #: skeleton keeps node ids/routing/rate arithmetic identical to a
@@ -505,11 +509,9 @@ class ProxyNode:
             # The load estimate is routing-aware (sim.planning_load):
             # under item-hash routing a planned prefetch traverses the
             # item owner's link, not this node's, so throttling on the
-            # home link alone would misread the tier.
-            chosen = controller.plan(
-                now=env.now,
-                estimated_utilization=sim.planning_load(self),
-            )
+            # home link alone would misread the tier.  Only a policy that
+            # reads it evaluates it.
+            chosen = controller.plan(now=env.now, load=self.load_estimate)
             fresh = [(it, p) for it, p in chosen if it not in table]
             for it, _p in chosen:
                 if it in table:

@@ -157,11 +157,17 @@ class _TrueDistributionPredictor(Predictor):
     def record(self, item: Hashable) -> None:
         self._last = int(item)  # the source's state is the last item
 
-    def predict(self, limit: int | None = None):
+    def predict_above(self, floor: float):
         if self._last is None:
             return []
-        dist = self._source.true_distribution(self._last, top=self._top)
-        return dist[:limit] if limit is not None else dist
+        # The memoised list is sorted by descending p: the survivors are
+        # a prefix of it.
+        above = []
+        for pair in self._source.true_distribution(self._last, top=self._top):
+            if not pair[1] > floor:
+                break
+            above.append(pair)
+        return above
 
     def reset(self) -> None:
         self._last = None

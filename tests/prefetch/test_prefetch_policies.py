@@ -138,8 +138,8 @@ class TestAdaptive:
 
     def test_select_uses_estimated_utilization(self):
         policy = AdaptiveUtilizationPolicy(rho_target=0.9, p_min=0.1, p_max=1.0)
-        busy = policy.select(CANDIDATES, ctx(estimated_utilization=0.89))
-        idle = policy.select(CANDIDATES, ctx(estimated_utilization=0.0))
+        busy = policy.select(CANDIDATES, ctx(load=lambda: 0.89))
+        idle = policy.select(CANDIDATES, ctx(load=lambda: 0.0))
         assert len(idle) > len(busy)
 
     def test_validation(self):

@@ -82,7 +82,7 @@ def scripted_plan(controller, script):
     """
     calls = {"n": 0}
 
-    def plan(*, now, estimated_utilization):
+    def plan(*, now, load):
         calls["n"] += 1
         return list(script.get(calls["n"], []))
 
@@ -182,7 +182,7 @@ class TestPendingEventOverwrite:
         scripted = {1: [(9, 1.0)], 2: [(9, 1.0)]}
         calls = {"n": 0}
 
-        def plan(*, now, estimated_utilization):
+        def plan(*, now, load):
             calls["n"] += 1
             chosen = scripted.get(calls["n"], [])
             # mimic the real plan(): mark selections in-flight + count them

@@ -133,7 +133,7 @@ class TestUnifiedFetchTable:
     def scripted_plan(self, controller, script):
         calls = {"n": 0}
 
-        def plan(*, now, estimated_utilization):
+        def plan(*, now, load):
             calls["n"] += 1
             return list(script.get(calls["n"], []))
 
