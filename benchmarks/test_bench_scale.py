@@ -28,10 +28,13 @@ backend paid for state no run used — two RNG streams derived per client
 up front (one, for evictions, that an LRU cache never draws), 256 items
 pre-drawn per client, request-handler closures built for clients that
 never arrive, and full garbage collections rescanning the whole built
-tier.  With that waste gone the per-client backend runs the 100k
-population in 8-9 s instead of 26 s on a 2-core x86 host (seed 7), and
-the measured ratio is 6.3-6.7x at 100k and 1.7-2.2x at 20k.  Each
-floor keeps about 2x headroom under those measurements, so the bench
+tier.  With that waste gone, and every per-client stream derived in one
+vectorized batch, the per-client backend runs the 100k population in
+4.0-7.5 s instead of 26 s on a 2-vCPU x86 host (seed 7; six runs, with
+the host's speed drifting ~1.8x between them).  The aggregated backend
+got faster as well; the measured ratio is 9.6-11.2x at 100k and
+3.2-4.0x at 20k.  A faster per-client backend lowers the ratio.  Each
+floor keeps 3x or more headroom under those measurements, so the bench
 still fails if the aggregated backend stops collapsing the population.
 
 Run:  pytest benchmarks/test_bench_scale.py --benchmark-only -s

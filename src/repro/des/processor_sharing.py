@@ -193,13 +193,11 @@ class ProcessorSharingServer:
         """Work units actually delivered (≤ capacity × busy time)."""
         return self._total_work_served
 
-    def utilization(self, *, since: float = 0.0) -> float:
+    def utilization(self) -> float:
         """Fraction of elapsed time the server was busy (≥1 active job)."""
         self._advance()
-        horizon = self.env.now - since
-        if horizon <= 0:
-            return 0.0
-        return self._busy_time / horizon if since == 0.0 else float("nan")
+        now = self.env.now
+        return self._busy_time / now if now > 0 else 0.0
 
     def mean_jobs_in_system(self) -> float:
         """Time-averaged number of concurrent jobs (compare ρ/(1−ρ))."""

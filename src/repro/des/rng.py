@@ -8,15 +8,31 @@ Every stochastic component (arrival process, item selector, size sampler,
 * common random numbers across policy comparisons — changing the prefetch
   policy does not perturb the arrival stream, which sharpens paired
   comparisons in the policy-ablation experiment.
+
+A build that needs thousands of streams at once (one per client) derives
+them with :meth:`RandomStreams.derive`, which runs SeedSequence's hashing
+for every name in one vectorized pass (:mod:`repro.des.seed_batch`) and
+yields the very generators :meth:`RandomStreams.get` would.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 
-__all__ = ["RandomStreams"]
+__all__ = ["BATCH_CROSSOVER", "RandomStreams"]
+
+#: Fewest new names for which :meth:`RandomStreams.derive` runs its batch.
+#: A batch has a fixed cost of a few hundred NumPy calls, plus loading
+#: :mod:`repro.des.seed_batch` the first time.  On a 2-vCPU x86 host
+#: (Python 3.11, NumPy 2.4), a process's first batch breaks even with
+#: one-at-a-time ``get`` between 128 and 256 names of the
+#: ``client<c>/<kind>`` shape and is 1.4x faster at 256, 2x at 512
+#: (later batches: break-even near 32 names, 3.6x at 256).
+BATCH_CROSSOVER = 256
 
 
 class RandomStreams:
@@ -32,7 +48,6 @@ class RandomStreams:
 
     def __init__(self, seed: int = 0) -> None:
         self.seed = int(seed)
-        self._root = np.random.SeedSequence(self.seed)
         self._streams: dict[str, np.random.Generator] = {}
 
     def get(self, name: str) -> np.random.Generator:
@@ -64,17 +79,25 @@ class RandomStreams:
             )
         return stream
 
-    def fork(self, label: str) -> "RandomStreams":
-        """A child registry for a sub-component (e.g. one client)."""
-        child = RandomStreams.__new__(RandomStreams)
-        child.seed = self.seed
-        child._root = self._root
-        child._streams = {}
-        # Prefix all child streams with the label to keep them disjoint.
-        parent_get = self.get
+    def derive(self, names: Sequence[str]) -> None:
+        """Create the generators for ``names`` now, in one vectorized pass.
 
-        def scoped_get(name: str) -> np.random.Generator:
-            return parent_get(f"{label}/{name}")
+        Each generator starts in exactly the state ``get(name)`` would give
+        it; names already in the registry keep their generator.  With fewer
+        than :data:`BATCH_CROSSOVER` new names, or a seed of ``2**32`` or
+        more, this does nothing and ``get`` derives each stream on first
+        use.
+        """
+        if not 0 <= self.seed < 2**32:
+            return
+        streams = self._streams
+        todo = [name for name in dict.fromkeys(names) if name not in streams]
+        if len(todo) < BATCH_CROSSOVER:
+            return
+        if not all(todo):
+            raise ConfigurationError("stream name must be non-empty")
+        # Loaded on the first batch only: a process whose builds all stay
+        # below the crossover never holds the batch code.
+        from repro.des.seed_batch import pcg64_generators
 
-        child.get = scoped_get  # type: ignore[method-assign]
-        return child
+        streams.update(zip(todo, pcg64_generators(self.seed, todo)))

@@ -97,6 +97,7 @@ from repro.workload.arrivals import PoissonArrivals
 from repro.workload.markov_source import MarkovChainSource
 from repro.workload.phases import PhasedSourceView
 from repro.workload.replay import TraceReplaySource
+from repro.workload.sessions import entity_stream_names
 from repro.workload.zipf import shared_catalog
 
 __all__ = ["Simulation", "run_simulation", "SimulationOutput", "ProxyShardStats"]
@@ -601,6 +602,24 @@ class Simulation:
             return None
         return self.streams.get(f"{label}/evictions")
 
+    def _derive_entity_streams(self, labels: list[str], schedule) -> None:
+        """Derive the streams of every entity this build realises, at once.
+
+        The names are exactly those the build loop and each driver's first
+        resume read (:func:`entity_stream_names`), so the batch creates
+        only streams the run would create anyway.  Below the batch
+        crossover this does nothing and each stream is derived on first
+        use.
+        """
+        self.streams.derive(
+            entity_stream_names(
+                labels,
+                schedule,
+                arrivals=self.replay is None,
+                evictions=self.config.cache_policy.lower() == "random",
+            )
+        )
+
     def _build_clients(self) -> None:
         config = self.config
         if config.client_backend == "aggregated":
@@ -629,6 +648,14 @@ class Simulation:
             node_rates = [0.0] * topo.num_proxies
             for c in range(self.num_clients):
                 node_rates[topo.home_of(c)] += spec.rate_of(c) * avg_mult
+        self._derive_entity_streams(
+            [
+                f"client{c}"
+                for c in range(self.num_clients)
+                if self._owns_node(topo.home_of(c))
+            ],
+            schedule,
+        )
         for c in range(self.num_clients):
             node = self.nodes[topo.home_of(c)]
             if not self._owns_node(node.node_id):
@@ -717,6 +744,9 @@ class Simulation:
         self.client_classes = [
             cls for cls in classes if self._owns_node(cls.node_id)
         ]
+        self._derive_entity_streams(
+            [cls.stream_label for cls in self.client_classes], schedule
+        )
         # Offered rate per node, mirroring the per-client loop: one proxy
         # keeps the spec's exact aggregate; otherwise sum class rates in
         # representative (= lowest client id) order, which for singleton

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -34,7 +34,12 @@ from repro.workload.sizes import FixedSize, SizeDistribution
 from repro.workload.trace import TraceRecord
 from repro.workload.zipf import ZipfCatalog, shared_catalog
 
-__all__ = ["WorkloadSpec", "generate_trace", "CLIENT_OVERRIDE_FIELDS"]
+__all__ = [
+    "WorkloadSpec",
+    "generate_trace",
+    "entity_stream_names",
+    "CLIENT_OVERRIDE_FIELDS",
+]
 
 #: WorkloadSpec fields that may be overridden per client.
 CLIENT_OVERRIDE_FIELDS = (
@@ -238,6 +243,36 @@ class WorkloadSpec:
         )
 
 
+def entity_stream_names(
+    labels: Sequence[str],
+    schedule: PhaseSchedule | None,
+    *,
+    arrivals: bool = True,
+    evictions: bool = False,
+) -> list[str]:
+    """Every per-entity RNG stream name a build reads for ``labels``.
+
+    An entity is a client (``client<c>``) or a client class (its
+    ``stream_label``).  Each reads its item stream — one per item variant
+    under phases — and, unless a trace drives it, its arrival stream; the
+    ``random`` cache policy adds an eviction stream.  Builds pass this
+    list to :meth:`RandomStreams.derive`.  A new per-entity stream must be
+    listed here as well: one that is not still gets the right state from
+    ``RandomStreams.get``, one derivation at a time.
+    """
+    names: list[str] = []
+    for label in labels:
+        if schedule is None:
+            names.append(f"{label}/items")
+        else:
+            names.extend(schedule.stream_names(f"{label}/items"))
+        if arrivals:
+            names.append(f"{label}/arrivals")
+        if evictions:
+            names.append(f"{label}/evictions")
+    return names
+
+
 def generate_trace(
     spec: WorkloadSpec,
     *,
@@ -257,6 +292,9 @@ def generate_trace(
             spec, schedule, duration=duration, seed=seed
         )
     streams = RandomStreams(seed)
+    streams.derive(
+        entity_stream_names([f"client{c}" for c in range(spec.num_clients)], None)
+    )
     sizes = spec.make_sizes()
     size_rng = streams.get("sizes")
     heap: list[tuple[float, int]] = []
@@ -306,6 +344,9 @@ def _generate_phased_trace(
     stationary path, so the output is identical (pinned by tests).
     """
     streams = RandomStreams(seed)
+    streams.derive(
+        entity_stream_names([f"client{c}" for c in range(spec.num_clients)], schedule)
+    )
     sizes = spec.make_sizes()
     size_rng = streams.get("sizes")
     n = spec.num_clients
