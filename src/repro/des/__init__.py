@@ -11,24 +11,19 @@ from repro.des.environment import NORMAL, URGENT, Environment
 from repro.des.events import AllOf, AnyOf, Event, Interrupt, Process, Timeout
 from repro.des.monitors import Tally, TimeSeries, TimeWeightedValue
 from repro.des.processor_sharing import ProcessorSharingServer, PSJob
-from repro.des.resources import Container, PriorityResource, Resource, Store
 from repro.des.rng import RandomStreams
 
 __all__ = [
     "AllOf",
     "AnyOf",
-    "Container",
     "Environment",
     "Event",
     "Interrupt",
     "NORMAL",
     "PSJob",
-    "PriorityResource",
     "Process",
     "ProcessorSharingServer",
     "RandomStreams",
-    "Resource",
-    "Store",
     "Tally",
     "TimeSeries",
     "TimeWeightedValue",

@@ -7,22 +7,39 @@ time.  For Poisson arrivals the mean response time of a job of size ``x`` is
 ``x / (1 − ρ)`` (eq. 2) — the property every simulation experiment
 validates against.
 
-The implementation is *exact* (no time-stepping): between consecutive
-events the per-job service rate is constant, so remaining work decays
-linearly and the next completion time is known in closed form.  On every
-arrival/departure the server:
+The implementation is *exact* (no time-stepping) and takes the virtual-time
+form of generalized processor sharing (Parekh & Gallager, 1993).  A virtual
+clock ``V`` counts the work each job in service has received; between
+events it advances by ``elapsed · C / n``.  A job of work ``x`` arriving at
+virtual time ``V`` gets the finish tag ``F = V + x`` and leaves when ``V``
+reaches ``F``.  Jobs sit in a heap ordered by ``(F, arrival sequence)``, and
+the next completion is due ``(F_head − V) · n / C`` from now, so an arrival
+or a completion costs O(log n) and no per-job remaining work is updated.
 
-1. charges elapsed work to all active jobs (``elapsed * rate / n``),
-2. reschedules the earliest completion.
-
-Stale completion timers are invalidated with an epoch counter rather than
-searching the heap — O(1) per reschedule.
+* **Idle reset.**  ``V`` returns to 0 whenever the last job leaves, so
+  ``F − V`` loses no precision to earlier busy periods, and a job arriving
+  at an idle server finishes at exactly ``arrival + work / C``.
+* **Timers.**  Every arrival and every completion arms one timer for the
+  head of the heap.  An epoch counter turns superseded timers into no-ops
+  instead of searching the event queue.
+* **Tie tolerance.**  A live timer always completes the head job, so the
+  server makes progress even where ``now + delay`` rounds to ``now`` at
+  large clock values.  With it go every job whose tag lies within
+  ``(F_head − V)·1e-9 + 1e-12`` of the head's, ``V`` read when the timer was
+  armed, and every job with ``F − V ≤ 1e-12`` when it fires.  Tags are
+  absolute virtual times, so work differences below the resolution of
+  ``V`` (its last bit: 1.8e-12 at ``V`` = 1e4) are ties too.
+* **Completion order.**  Jobs leaving at one instant complete in arrival
+  order, so their events keep insertion order; :meth:`fail_all` aborts in
+  arrival order too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from heapq import heappop, heappush
+from operator import itemgetter
+from typing import Any
 
 from repro.des.environment import Environment
 from repro.des.events import Event
@@ -31,12 +48,17 @@ from repro.errors import SimulationError
 
 __all__ = ["ProcessorSharingServer", "PSJob"]
 
-#: Jobs whose remaining work falls below this are considered complete;
-#: guards against float drift accumulating over millions of reschedules.
+#: Work at or below this counts as done: zero-size jobs complete on
+#: arrival, and a job this close to its finish tag leaves with the head.
 _WORK_EPSILON = 1e-12
+#: Jobs whose remaining work is within this fraction of the head job's
+#: (plus ``_WORK_EPSILON``) complete together with it.
+_TIE_TOLERANCE = 1e-9
+
+_by_arrival = itemgetter(1)
 
 
-@dataclass(eq=False, slots=True)  # identity semantics: jobs live in sets keyed by object
+@dataclass(eq=False, slots=True)
 class PSJob:
     """One job in (or through) the processor-sharing server.
 
@@ -57,11 +79,7 @@ class PSJob:
     arrival_time: float
     tag: Any = None
     completion_time: float = float("nan")
-    remaining: float = field(init=False)
     done: "Event | None" = field(default=None, repr=False)
-
-    def __post_init__(self) -> None:
-        self.remaining = self.work
 
     @property
     def response_time(self) -> float:
@@ -108,10 +126,12 @@ class ProcessorSharingServer:
             raise SimulationError(f"server capacity must be > 0, got {capacity!r}")
         self.env = env
         self.capacity = float(capacity)
-        self._active: list[PSJob] = []
+        self._jobs: list[tuple[float, int, PSJob]] = []  # heap of (F, seq, job)
+        self._vtime = 0.0  # V: work each job in service has received
+        self._seq = 0
+        self._limit = 0.0  # the armed timer completes every tag up to this
         self._last_update = env.now
         self._epoch = 0  # invalidates stale completion timers
-        self._expected: list[PSJob] = []  # jobs the armed timer will complete
         self._completed_jobs = 0
         self._total_work_served = 0.0
         self._busy_time = 0.0
@@ -123,7 +143,7 @@ class ProcessorSharingServer:
     @property
     def num_active(self) -> int:
         """Jobs currently in service."""
-        return len(self._active)
+        return len(self._jobs)
 
     def submit(self, work: float, tag: Any = None) -> Event:
         """Enter a job; returns an event that succeeds with the finished
@@ -132,50 +152,31 @@ class ProcessorSharingServer:
             raise SimulationError(f"job work must be >= 0, got {work!r}")
         self._advance()
         job = PSJob(work=float(work), arrival_time=self.env.now, tag=tag)
-        job.done = Event(self.env)
+        job.done = done = Event(self.env)
         if work <= _WORK_EPSILON:
             # Zero-size job: completes immediately without touching shares.
-            job.remaining = 0.0
             job.completion_time = self.env.now
             self._completed_jobs += 1
-            job.done.succeed(job)
-            return job.done
-        self._active.append(job)
-        self._jobs_in_system.set(len(self._active))
+            done.succeed(job)
+            return done
+        self._seq = seq = self._seq + 1
+        heappush(self._jobs, (self._vtime + job.work, seq, job))
+        self._jobs_in_system.set(len(self._jobs))
         self._reschedule()
-        return job.done
-
-    def cancel(self, done_event: Event) -> Optional[PSJob]:
-        """Abort an in-service job (e.g. a prefetch made moot by a demand hit).
-
-        The job's event is failed with :class:`SimulationError`; work already
-        performed stays counted in the served-work statistics (the bandwidth
-        was genuinely consumed).  Returns the job, or None when it already
-        completed.
-        """
-        self._advance()
-        for job in self._active:
-            if job.done is done_event:
-                self._active.remove(job)
-                self._jobs_in_system.set(len(self._active))
-                job.completion_time = float("nan")
-                done_event.fail(SimulationError("job cancelled"))
-                self._reschedule()
-                return job
-        return None
+        return done
 
     def fail_all(self, exc: BaseException) -> int:
         """Abort every in-service job at once (a crashed server).
 
-        Each job's done event is failed with ``exc``; work already served
-        stays counted (the bandwidth was genuinely consumed before the
-        crash).  Returns the number of jobs aborted.
+        Each job's done event is failed with ``exc``, in arrival order;
+        work already served stays counted (the bandwidth was genuinely
+        consumed before the crash).  Returns the number of jobs aborted.
         """
         self._advance()
-        failed = list(self._active)
-        self._active.clear()
+        failed = sorted(self._jobs, key=_by_arrival)
+        self._jobs.clear()
         self._jobs_in_system.set(0)
-        for job in failed:
+        for _finish, _seq, job in failed:
             job.completion_time = float("nan")
             job.done.fail(exc)
         self._reschedule()
@@ -208,52 +209,35 @@ class ProcessorSharingServer:
     # Internals
     # ------------------------------------------------------------------
     def _advance(self) -> None:
-        """Charge work done since the last event to all active jobs."""
+        """Move the virtual clock to now, charging the elapsed work."""
         now = self.env.now
         elapsed = now - self._last_update
         if elapsed < 0:  # pragma: no cover - clock is monotone
             raise SimulationError("processor-sharing clock went backwards")
         if elapsed == 0:
             return
-        n = len(self._active)
+        n = len(self._jobs)
         if n:
-            per_job = elapsed * self.capacity / n
-            for job in self._active:
-                job.remaining -= per_job
-                if job.remaining < 0:
-                    # Float drift only: magnitude is bounded by scheduling
-                    # precision, never a whole quantum.
-                    job.remaining = 0.0
+            self._vtime += elapsed * self.capacity / n
             self._total_work_served += elapsed * self.capacity
             self._busy_time += elapsed
         self._last_update = now
 
     def _reschedule(self) -> None:
-        """(Re)arm the completion timer for the current job set.
+        """Arm the completion timer for the head of the heap.
 
-        The timer remembers *which* jobs it was armed for.  When it fires
-        (and is not stale) those jobs complete by construction — between
-        events rates are constant, so the earliest finisher is exact.
-        Completing the remembered set, rather than re-deriving it from the
-        drifting ``remaining`` counters, avoids a float-precision livelock
-        when ``now + delay`` rounds to ``now`` near large clock values.
+        The new epoch makes any earlier timer a no-op.  With no job in
+        service nothing is armed and the virtual clock resets to 0.
         """
         self._epoch += 1
-        active = self._active
-        if not active:
-            self._expected = []
+        jobs = self._jobs
+        if not jobs:
+            self._vtime = 0.0
             return
-        n = len(active)
-        if n == 1:
-            # Single-job fast path (the common case at moderate load): the
-            # tolerance scan below would select exactly this job anyway.
-            min_remaining = active[0].remaining
-            self._expected = [active[0]]
-        else:
-            min_remaining = min(job.remaining for job in active)
-            tol = min_remaining * 1e-9 + _WORK_EPSILON
-            self._expected = [j for j in active if j.remaining <= min_remaining + tol]
-        delay = min_remaining * n / self.capacity
+        head = jobs[0][0]
+        remaining = head - self._vtime
+        self._limit = head + remaining * _TIE_TOLERANCE + _WORK_EPSILON
+        delay = remaining * len(jobs) / self.capacity
         epoch = self._epoch
         timer = self.env.timeout(delay if delay > 0.0 else 0.0)
         timer.callbacks.append(lambda _ev, e=epoch: self._on_timer(e))
@@ -262,16 +246,18 @@ class ProcessorSharingServer:
         if epoch != self._epoch:
             return  # a newer arrival/departure superseded this timer
         self._advance()
-        finished = set(self._expected)
-        finished.update(j for j in self._active if j.remaining <= _WORK_EPSILON)
-        for job in self._active[:]:
-            if job not in finished:
-                continue
-            self._active.remove(job)
-            job.remaining = 0.0
-            job.completion_time = self.env.now
-            self._completed_jobs += 1
-            assert job.done is not None
+        jobs = self._jobs
+        limit = self._vtime + _WORK_EPSILON
+        if limit < self._limit:
+            limit = self._limit
+        finished = [heappop(jobs)]
+        while jobs and jobs[0][0] <= limit:
+            finished.append(heappop(jobs))
+        finished.sort(key=_by_arrival)
+        now = self.env.now
+        for _finish, _seq, job in finished:
+            job.completion_time = now
             job.done.succeed(job)
-        self._jobs_in_system.set(len(self._active))
+        self._completed_jobs += len(finished)
+        self._jobs_in_system.set(len(jobs))
         self._reschedule()

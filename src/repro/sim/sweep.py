@@ -118,7 +118,10 @@ __all__ = [
 #:     decomposition, so a fault-injected scenario never aliases its
 #:     fault-free twin), and cached SimulationOutput KPIs grew a
 #:     ``fault_timeline`` older readers cannot interpret.
-CACHE_SCHEMA_VERSION = 9
+#: v10: virtual-time processor-sharing link: completion times move in
+#:     their last digits (≤ 1e-13 relative, counts unchanged), so a v9
+#:     entry is no longer what a fresh run reproduces bit for bit.
+CACHE_SCHEMA_VERSION = 10
 
 
 # ----------------------------------------------------------------------

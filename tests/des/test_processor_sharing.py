@@ -96,60 +96,6 @@ class TestExactSharing:
             server.submit(-1.0)
 
 
-class TestCancel:
-    def test_cancel_in_service_job(self):
-        env = Environment()
-        server = ProcessorSharingServer(env, capacity=1.0)
-        outcome = {}
-
-        def proc(env):
-            done = server.submit(10.0)
-
-            def canceller(env):
-                yield env.timeout(1.0)
-                server.cancel(done)
-
-            env.process(canceller(env))
-            try:
-                yield done
-            except SimulationError:
-                outcome["cancelled_at"] = env.now
-
-        env.process(proc(env))
-        env.run()
-        assert outcome["cancelled_at"] == 1.0
-        assert server.num_active == 0
-
-    def test_cancel_speeds_up_other_jobs(self):
-        env = Environment()
-        server = ProcessorSharingServer(env, capacity=1.0)
-        results = {}
-
-        def victim(env):
-            done = server.submit(100.0, tag="victim")
-
-            def canceller(env):
-                yield env.timeout(1.0)
-                server.cancel(done)
-
-            env.process(canceller(env))
-            try:
-                yield done
-            except SimulationError:
-                pass
-
-        def survivor(env):
-            job = yield server.submit(2.0, tag="survivor")
-            results["done"] = job.completion_time
-
-        env.process(victim(env))
-        env.process(survivor(env))
-        env.run()
-        # Shared until t=1 (1 unit done of survivor's... rate 1/2 -> 0.5),
-        # then full rate: remaining 1.5 -> done at 2.5.
-        assert results["done"] == pytest.approx(2.5)
-
-
 class TestTheoryValidation:
     @pytest.mark.parametrize("rho", [0.3, 0.6])
     def test_mm1_ps_mean_response(self, rho):
