@@ -217,12 +217,12 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="BACKEND",
         help=(
             "how each simulation's proxy tier executes: 'serial' (one "
-            "event loop, default) or 'parallel' (per-shard event loops in "
-            "worker processes, conservative lookahead windows; "
-            "bit-identical to serial — configs whose cross-node channels "
-            "carry zero lookahead fall back to the serial loop with a "
-            "warning).  Composes with --jobs; the oversubscription guard "
-            "caps node_workers x jobs at the core count"
+            "event loop, default) or 'parallel' (one event loop per proxy "
+            "in worker processes, for tiers whose proxies share nothing; "
+            "bit-identical to serial — tiers with coupled proxies fall "
+            "back to the serial loop with a warning).  Composes with "
+            "--jobs; the oversubscription guard caps node_workers x jobs "
+            "at the core count"
         ),
     )
     parser.add_argument(

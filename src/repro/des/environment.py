@@ -198,44 +198,6 @@ class Environment:
         self._now = deadline
         return None
 
-    def run_window(self, deadline: float) -> int:
-        """Drain every event scheduled at or before ``deadline``; return the count.
-
-        The window-bounded run of the conservative parallel node backend
-        (see :mod:`repro.sim.parallel`): a shard's loop advances one
-        lookahead window at a time, exchanging cross-shard messages at
-        the barrier between windows.  Identical to ``run(until=deadline)``
-        — same batched heap drain, same (time, priority, insertion-order)
-        processing, the clock lands exactly on ``deadline`` — except that
-        it reports how many events the window processed, which the barrier
-        protocol uses to detect quiescence without peeking at the heap.
-        Splitting one ``run(until=T)`` into any sequence of ``run_window``
-        calls whose deadlines end at ``T`` is bit-identical (pinned by
-        tests): a barrier only adds stopping points, never reorders.
-        """
-        queue = self._queue
-        pop = heappop
-        deadline = float(deadline)
-        if deadline < self._now:
-            raise SimulationError(
-                f"run_window({deadline}) is in the past (now={self._now})"
-            )
-        processed = 0
-        while queue and queue[0][0] <= deadline:
-            when, _prio, _eid, event = pop(queue)
-            self._now = when
-            callbacks = event.callbacks
-            if callbacks is None:  # pragma: no cover - double-processing
-                raise SimulationError(f"{event!r} processed twice")
-            event.callbacks = None
-            for callback in callbacks:
-                callback(event)
-            if not event._ok and not callbacks:
-                raise event._value
-            processed += 1
-        self._now = deadline
-        return processed
-
     # ------------------------------------------------------------------
     # Factories
     # ------------------------------------------------------------------

@@ -48,7 +48,6 @@ __all__ = [
     "CooperationConfig",
     "TopologyConfig",
     "HashRing",
-    "LookaheadAnalysis",
     "ROUTING_NAMES",
     "COOPERATION_MODES",
 ]
@@ -236,30 +235,6 @@ class CooperationConfig:
         return self.mode != "none"
 
 
-@dataclass(frozen=True)
-class LookaheadAnalysis:
-    """Cross-node latency channels of a topology, for conservative PDES.
-
-    A conservative parallel backend may advance a shard's event loop by at
-    most the *lookahead* — the minimum latency any event crossing into the
-    shard must traverse — before exchanging messages at a barrier.  Each
-    ``channels`` entry names one cross-node interaction and its latency
-    floor; ``window`` is their minimum (``inf`` when the topology has no
-    cross-node channels at all — fully decoupled shards never need a
-    barrier).  ``zero_channels`` lists the channels whose floor is 0: any
-    such channel makes conservative windows degenerate (a zero-width
-    window cannot make progress), so the backend must keep the coupled
-    nodes in one shard group.
-    """
-
-    window: float
-    channels: tuple[tuple[str, float], ...]
-
-    @property
-    def zero_channels(self) -> tuple[str, ...]:
-        return tuple(name for name, latency in self.channels if latency <= 0.0)
-
-
 @dataclass
 class TopologyConfig:
     """Shape of the proxy tier (defaults reproduce the paper's single proxy).
@@ -362,51 +337,6 @@ class TopologyConfig:
         one-off lookup for callers outside a simulation.
         """
         return HashRing(self.num_proxies, vnodes=self.hash_vnodes)
-
-    def lookahead(self, *, mean_item_size: float) -> LookaheadAnalysis:
-        """Derive the conservative lookahead window from this topology.
-
-        Enumerates every channel over which one proxy's events can affect
-        another proxy, with the minimum latency an event needs to cross it
-        (the *lookahead* of conservative parallel DES):
-
-        * ``probe`` — a cooperative miss probe reaches its peers after
-          ``cooperation.probe_latency``.
-        * ``peer-transfer`` — a remote hit occupies the serving node's
-          peer link for at least one mean item at ``peer_bandwidth``
-          (M/G/1-PS sojourns only grow under contention, so the
-          uncontended transfer time is a floor).
-        * ``probe-state-read`` — latency **0**: the probe *reads the
-          holder's cache state* at the instant it arrives, and a probe
-          miss resolves at the prober in the same instant, so holder-side
-          state must be exact with zero slack.
-        * ``remote-uplink-dispatch`` — latency **0** under ``item-hash``
-          routing: a fetch for a remote-owned item is submitted to the
-          owner's processor-sharing uplink *at the request instant* (and
-          prefetch planners read tier-wide offered load the same way).
-
-        The window is the channel minimum: a positive window means shards
-        can run ``window`` ahead of each other and exchange messages at
-        barriers; a zero window (any ``zero_channels`` entry) means the
-        coupled nodes must share one event loop; an infinite window (no
-        channels — client-affinity routing without cooperation) means the
-        shards never interact and each can run to completion unsynchronized.
-        """
-        channels: list[tuple[str, float]] = []
-        if self.num_proxies > 1:
-            if self.cooperation.enabled:
-                channels.append(("probe", self.cooperation.probe_latency))
-                channels.append(
-                    (
-                        "peer-transfer",
-                        float(mean_item_size) / self.cooperation.peer_bandwidth,
-                    )
-                )
-                channels.append(("probe-state-read", 0.0))
-            if self.routing == "item-hash":
-                channels.append(("remote-uplink-dispatch", 0.0))
-        window = min((lat for _, lat in channels), default=float("inf"))
-        return LookaheadAnalysis(window=window, channels=tuple(channels))
 
     def owner_of(self, item: Hashable) -> int:
         """The ring owner of ``item`` — the proxy cooperation would probe.

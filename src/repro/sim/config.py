@@ -101,16 +101,16 @@ class SimulationConfig:
     node_backend:
         How the proxy tier's event loops execute.  ``serial`` (default)
         runs the whole tier on one :class:`~repro.des.environment.
-        Environment` — every earlier PR's behaviour.  ``parallel`` gives
-        each shard group of :class:`~repro.sim.node.ProxyNode` instances
-        its own event loop in a worker process, synchronized by the
-        conservative lookahead-window protocol of
-        :mod:`repro.sim.parallel` — and is **bit-identical** to serial
-        for every topology and cooperation mode: configurations whose
-        cross-node channels carry zero lookahead (item-hash routing,
-        cooperative probes, stochastic lazily-sampled sizes, trace
-        replay) are detected at build time and fall back to the serial
-        loop with a warning rather than risk divergence.  See
+        Environment` — every earlier PR's behaviour.  ``parallel`` runs
+        a decoupled tier — several proxies, client-affinity routing, no
+        cooperation, no faults, fixed item sizes, synthetic arrivals —
+        as one independent event loop per
+        :class:`~repro.sim.node.ProxyNode` in worker processes
+        (:mod:`repro.sim.parallel`), and is **bit-identical** to serial.
+        Any other configuration couples its nodes (item-hash routing,
+        cooperative probes, fault schedules, stochastic lazily-sampled
+        sizes, trace replay); it is detected at build time and runs on
+        the serial loop with a warning naming each coupling.  See
         ARCHITECTURE.md ("Parallel node backend").
     node_workers:
         Worker-process cap for ``node_backend="parallel"``.  ``None``
@@ -124,8 +124,8 @@ class SimulationConfig:
         topology mutations (proxy crash/recovery, elastic ring
         grow/shrink) — see :mod:`repro.sim.faults`.  ``None`` or an
         empty schedule leave the run bit-identical to a fault-free one;
-        a non-empty schedule is a zero-lookahead coupling, so the
-        parallel node backend falls back to the serial loop (named
+        a non-empty schedule couples every node, so the parallel node
+        backend falls back to the serial loop (named
         ``fault-injection`` in the warning).
     """
 

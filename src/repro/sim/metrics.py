@@ -331,11 +331,10 @@ class MetricsCollector:
         )
 
     def snapshot(self) -> MetricsSnapshot:
-        """Freeze the accumulated state for cross-process aggregation.
+        """Freeze the accumulated state for aggregation.
 
-        Reads exactly what :meth:`finalize` reads (the server busy-time
-        advance is idempotent at a fixed ``env.now``), so
-        ``snapshot().finalize()`` is bit-identical to ``finalize()`` and
+        Every metric of a collector goes through a snapshot (the server
+        busy-time advance is idempotent at a fixed ``env.now``), so
         :func:`aggregate_snapshots` over worker snapshots is bit-identical
         to :func:`finalize_aggregate` over the live collectors.
         """
@@ -359,31 +358,8 @@ class MetricsCollector:
         )
 
     def finalize(self) -> SimulationMetrics:
-        if self._t_start is None:
-            raise RuntimeError("finalize() before measurement started")
-        self.link.server._advance()
-        elapsed = self.env.now - self._t_start
-        busy = self.link.server._busy_time - self._busy_start
-        return self._build(
-            requests=self._requests,
-            hits=self._hits,
-            tagged_hits=self._tagged_hits,
-            prefetches=self._prefetches,
-            access_mean=self.access_time.mean,
-            demand_mean=self.demand_retrieval.mean,
-            prefetch_mean=self.prefetch_retrieval.mean,
-            retrieval_accum=self._retrieval_time_accum,
-            busy=busy,
-            elapsed=elapsed,
-            links=1,
-            remote_probes=self._remote_probes,
-            remote_hits=self._remote_hits,
-            remote_mean=(
-                self.remote_retrieval.mean
-                if self.remote_retrieval.count
-                else 0.0
-            ),
-        )
+        """This shard's metrics: ``snapshot().finalize()``."""
+        return self.snapshot().finalize()
 
     @staticmethod
     def _build(

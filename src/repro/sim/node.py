@@ -41,6 +41,7 @@ clients would hand a requester a transfer that fills someone else's cache.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 from typing import TYPE_CHECKING, Hashable, Iterator, KeysView
 
 from repro.des.events import Event
@@ -53,6 +54,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (sim builds nodes)
     from repro.sim.simulation import Simulation
 
 __all__ = ["FetchTable", "FetchTableStats", "PendingFetch", "ProxyNode"]
+
+
+def _stationary(t: float) -> tuple[int, float]:
+    """``PhaseSchedule.locate`` of a run without phases: one endless phase."""
+    return 0, inf
 
 
 @dataclass(slots=True)
@@ -607,9 +613,10 @@ class ProxyNode:
         rep_id: int,
         controller,
         *,
-        arrivals,
+        phase_arrivals,
         arrival_rng,
-        items,
+        item_streams,
+        schedule=None,
         block: int = 256,
     ):
         """Aggregated synthetic driver: one process per client *class*.
@@ -628,74 +635,35 @@ class ProxyNode:
         RNG bit stream exactly like ``n`` scalar ``next_gap`` calls — so a
         singleton class is *bit-identical* to :meth:`client_process` (the
         over-drawn trailing gaps touch a stream nothing else reads).  Items
-        are taken from ``items`` in arrival order, one per in-horizon
-        arrival, same as the per-client driver.
+        are taken in arrival order, one per in-horizon arrival, same as
+        the per-client driver.
+
+        Phases (``schedule`` set): gaps are drawn at the current phase's
+        class rate (``phase_arrivals``, one per phase) and items from the
+        phase's item variant (``item_streams``, one per variant).  A block
+        that crosses the phase boundary is cut there: arrivals already
+        pushed stay, the rest of the block is discarded, and the driver
+        sleeps to the boundary (``env.at(end)``) before redrawing at the
+        new rate — the memoryless restart of the per-client phased
+        driver, block-sized.  The discarded tail touches only this class's
+        dedicated arrivals stream, so nothing else shifts.  Without phases
+        (``schedule=None``: one arrival process, one item stream), as with
+        a single phase, the one phase never ends and no block is ever cut
+        (pinned bit-identical by tests).
         """
         env = self.env
         handle_request = self.request_handler(rep_id, controller)
         spawn_process = env.process
         call_at = env.call_at
         duration = self.sim.config.duration
+        if schedule is None:
+            locate, variant_of_phase = _stationary, (0,)
+        else:
+            locate, variant_of_phase = schedule.locate, schedule.variant_of_phase
 
         def dispatch(event):
             # Open-loop spawn, same as client_process: arrivals are never
             # delayed by congestion.
-            spawn_process(handle_request(event.value))
-
-        t = env.now
-        while True:
-            gaps = arrivals.gaps(arrival_rng, block)
-            last = None
-            # tolist(): python floats, same doubles — event times must not
-            # leak numpy scalars into metrics/hashing downstream.
-            for gap in gaps.tolist():
-                t = t + gap
-                if t > duration:
-                    # Past the horizon: run(until=duration) would never
-                    # process this (or any later) arrival, so stop
-                    # scheduling — the heap stays proportional to one
-                    # block, not to the overdraw.
-                    return
-                last = call_at(t, dispatch, next(items))
-            if last is not None:
-                yield last
-
-    def phased_class_process(
-        self,
-        rep_id: int,
-        controller,
-        *,
-        schedule,
-        phase_arrivals,
-        arrival_rng,
-        item_streams,
-        block: int = 256,
-    ):
-        """Phase-aware aggregated driver (``WorkloadSpec.phases`` set).
-
-        Same block-scheduling structure as :meth:`class_process`, but gaps
-        are drawn at the current phase's class rate and items from the
-        phase's item variant.  A block that crosses the phase boundary is
-        cut there: arrivals already pushed stay (they are before the
-        boundary), the rest of the block is discarded, and the driver
-        sleeps to the boundary (``env.at(end)``) before redrawing at the
-        new rate — the same memoryless restart as the per-client phased
-        driver, block-sized.  The discarded tail touches only this
-        class's dedicated arrivals stream, so nothing else shifts.
-
-        With a single phase ``end = inf``: no block is ever cut, and the
-        loop body is step-for-step :meth:`class_process` at the scaled
-        rate (pinned bit-identical by tests).
-        """
-        env = self.env
-        handle_request = self.request_handler(rep_id, controller)
-        spawn_process = env.process
-        call_at = env.call_at
-        duration = self.sim.config.duration
-        variant_of_phase = schedule.variant_of_phase
-        locate = schedule.locate
-
-        def dispatch(event):
             spawn_process(handle_request(event.value))
 
         t = env.now
@@ -705,12 +673,18 @@ class ProxyNode:
             gaps = phase_arrivals[idx].gaps(arrival_rng, block)
             last = None
             crossed = False
+            # tolist(): python floats, same doubles — event times must not
+            # leak numpy scalars into metrics/hashing downstream.
             for gap in gaps.tolist():
                 t2 = t + gap
                 if t2 > end:
                     crossed = True
                     break
                 if t2 > duration:
+                    # Past the horizon: run(until=duration) would never
+                    # process this (or any later) arrival, so stop
+                    # scheduling — the heap stays proportional to one
+                    # block, not to the overdraw.
                     return
                 t = t2
                 last = call_at(t, dispatch, next(items))

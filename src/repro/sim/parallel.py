@@ -27,7 +27,6 @@ ProcessPoolExecutor` with the guarantees the experiment layer needs:
 
 from __future__ import annotations
 
-import math
 import multiprocessing
 import os
 import pickle
@@ -35,7 +34,7 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Sequence, TypeVar
 
 __all__ = [
@@ -44,13 +43,9 @@ __all__ = [
     "resolve_jobs",
     "get_default_jobs",
     "set_default_jobs",
-    # conservative parallel node backend (PR 9)
-    "ShardMessage",
+    # parallel node backend
     "NodePartition",
     "NodeShardPayload",
-    "merge_message_batches",
-    "deliver_messages",
-    "run_windows",
     "plan_node_partition",
     "effective_node_workers",
     "run_node_shards",
@@ -180,51 +175,38 @@ class ReplicationExecutor:
 
 
 # ======================================================================
-# Conservative parallel node backend (PR 9)
+# Parallel node backend
 # ======================================================================
 #
 # ``node_backend="parallel"`` splits one simulation's proxy tier into
-# *shard groups*, runs each group's event loop in a worker process, and
-# synchronizes the loops with the classic conservative lookahead-window
-# protocol: a shard may run at most one *lookahead window* ahead of its
-# peers, and at each window barrier the shards exchange timestamped
-# :class:`ShardMessage` batches which are merged in deterministic
-# ``(time, priority, sender, seq)`` order before anyone proceeds.  The
-# window is derived at build time from the topology's cross-node latency
-# channels (:meth:`repro.network.topology.TopologyConfig.lookahead`).
-#
-# The backend's contract is the same one :class:`ReplicationExecutor`
+# *shard groups* and runs each group's event loop to completion in a
+# worker process.  The contract is the one :class:`ReplicationExecutor`
 # and the aggregated client backend pin: **bit-identical output** for
 # every topology and cooperation mode.  That contract shapes the
-# partition three ways:
+# partition two ways:
 #
 # * **Decoupled tiers parallelise fully.**  Client-affinity routing
-#   without cooperation (and without the shared-RNG couplings below) has
-#   *no* cross-node channels: each proxy's clients, caches, link and
-#   metrics shard form a closed subsystem, and name-keyed RNG streams
-#   (``RandomStreams.get("client{c}/...")`` derives from seed+name, not
-#   draw order) mean a worker building only its node's clients draws the
-#   identical randomness.  The per-node event sequence of the serial
-#   global heap *projects* exactly onto an isolated per-node heap —
-#   relative insertion order of one node's events is preserved and no
-#   state is shared — so each shard group gets lookahead ∞: one window,
-#   no barriers, and bitwise the serial result.
-# * **Zero-lookahead couplings stay on one loop.**  Cooperative probes
-#   read the holder's cache state at the probe instant and resolve
-#   misses at the prober in the same instant; item-hash routing submits
-#   fetches on remote uplinks with zero latency; stochastic lazily-
-#   sampled item sizes share one origin RNG whose draw order is global;
-#   trace replay drives every shard from one merged recorded stream.
-#   Each of these is a zero-latency channel — a conservative window of
-#   width 0 cannot make progress — so :func:`plan_node_partition` keeps
-#   the coupled nodes in a single group (degrading to the serial loop
-#   when that group is the whole tier), with a warning naming the
-#   coupling, rather than ship answers that drift from serial.
-# * **The window machinery is exact by construction.**  Splitting
-#   ``run(until=T)`` at any set of barrier points is bit-identical to
-#   running straight through (``Environment.run_window`` pins this), and
-#   the barrier merge order is a pure function of the message tuples —
-#   never of worker scheduling.
+#   without cooperation (and without the shared-state couplings below)
+#   makes each proxy an independent copy of the paper's system: its
+#   clients, caches, link and metrics shard form a closed subsystem, and
+#   name-keyed RNG streams (``RandomStreams.get("client{c}/...")``
+#   derives from seed+name, not draw order) mean a worker building only
+#   its node's clients draws the identical randomness.  The per-node
+#   event sequence of the serial global heap *projects* exactly onto an
+#   isolated per-node heap — relative insertion order of one node's
+#   events is preserved and no state is shared — so each node is its own
+#   group, runs ``env.run(until=duration)`` exactly like a serial run,
+#   and yields bitwise the serial result.
+# * **Couplings stay on one loop.**  Cooperative probes read the
+#   holder's cache state at the probe instant and resolve misses at the
+#   prober in the same instant; item-hash routing submits fetches on
+#   remote uplinks with zero latency; fault schedules mutate the shared
+#   ring at instants every shard must observe; stochastic lazily-sampled
+#   item sizes share one origin RNG whose draw order is global; trace
+#   replay drives every shard from one merged recorded stream.
+#   :func:`plan_node_partition` keeps such a tier in a single group —
+#   the serial loop — with a warning naming each coupling, rather than
+#   ship answers that drift from serial.
 _default_node_backend: str = "serial"
 _default_node_workers: int | None = None
 
@@ -274,106 +256,16 @@ def node_backend_session(
 
 
 @dataclass(frozen=True)
-class ShardMessage:
-    """One timestamped cross-shard event, totally ordered for the merge.
-
-    ``(time, priority, sender, seq)`` is the deterministic merge key:
-    ``time``/``priority`` mirror the heap ordering inside an
-    :class:`~repro.des.environment.Environment`, ``sender`` (the
-    originating shard's id) breaks cross-shard ties the way the serial
-    heap's insertion counter would, and ``seq`` (the sender's running
-    message counter) preserves each sender's emission order.  The key is
-    a pure function of the message — worker completion order cannot
-    reshuffle a barrier's merge.
-    """
-
-    time: float
-    priority: int
-    sender: int
-    seq: int
-    payload: Any = field(default=None, compare=False)
-
-    @property
-    def key(self) -> tuple[float, int, int, int]:
-        return (self.time, self.priority, self.sender, self.seq)
-
-
-def merge_message_batches(
-    batches: Sequence[Sequence[ShardMessage]],
-) -> list[ShardMessage]:
-    """Merge per-sender message batches into one deterministic sequence."""
-    merged = [message for batch in batches for message in batch]
-    merged.sort(key=lambda m: m.key)
-    return merged
-
-
-def deliver_messages(
-    env, messages: Sequence[ShardMessage], handler: Callable[[ShardMessage], Any]
-) -> None:
-    """Schedule merged barrier messages onto a shard's event loop.
-
-    Each message becomes a ``call_at`` entry at its timestamp, inserted in
-    merge order — so equal-time messages fire in exactly their merged
-    ``(time, priority, sender, seq)`` order (insertion order breaks heap
-    ties).  Conservative windows guarantee ``message.time >= env.now`` at
-    a barrier: a message sent during the previous window at ``t`` carries
-    ``t + lookahead >= barrier`` by the window-size invariant
-    (``window <= lookahead``); ``call_at`` enforces it.
-    """
-    for message in messages:
-        env.call_at(
-            message.time,
-            lambda event, m=message: handler(m),
-            message,
-        )
-
-
-def run_windows(
-    env,
-    *,
-    until: float,
-    window: float,
-    drain: Callable[[float], Sequence[ShardMessage]] | None = None,
-    handler: Callable[[ShardMessage], Any] | None = None,
-) -> int:
-    """Advance one shard's event loop to ``until`` in conservative windows.
-
-    The per-shard half of the barrier protocol: at each barrier (window
-    boundary, starting with the current time) the shard first asks
-    ``drain(now)`` for the messages its peers sent during the previous
-    window — already merged via :func:`merge_message_batches` — delivers
-    them through ``handler``, then drains its own heap up to the next
-    barrier with :meth:`~repro.des.environment.Environment.run_window`.
-    Returns the number of windows executed.  With ``window >= until - now``
-    (infinite lookahead) this degenerates to one window and zero mid-run
-    barriers — the fully-decoupled fast path.
-    """
-    if window <= 0 or math.isnan(window):
-        raise ValueError(f"window must be > 0, got {window!r}")
-    windows = 0
-    while env.now < until:
-        if drain is not None:
-            messages = drain(env.now)
-            if messages:
-                deliver_messages(env, messages, handler)
-        env.run_window(min(env.now + window, until))
-        windows += 1
-    return windows
-
-
-@dataclass(frozen=True)
 class NodePartition:
     """How a config's proxy tier splits into independently-runnable groups.
 
-    ``groups`` are tuples of node ids in ascending order; ``window`` is
-    the conservative lookahead between groups (``inf`` when they share no
-    channels); ``reasons`` is non-empty exactly when the tier could not be
-    split (one coupled group) and names every zero-lookahead coupling so
-    the fallback warning — and the docs — can say *why*.
+    ``groups`` are tuples of node ids in ascending order; ``reasons`` is
+    non-empty exactly when the tier could not be split (one coupled
+    group) and names every coupling so the fallback warning — and the
+    docs — can say *why*.
     """
 
     groups: tuple[tuple[int, ...], ...]
-    window: float
     reasons: tuple[str, ...] = ()
 
     @property
@@ -387,9 +279,9 @@ def plan_node_partition(config) -> NodePartition:
 
     Applies the bit-identity analysis documented at the top of this
     section: nodes whose subsystems are provably closed (client-affinity
-    routing, no cooperation, deterministic item sizes, synthetic
-    arrivals) each form their own group with infinite lookahead; any
-    zero-lookahead coupling collapses the tier into one group, and the
+    routing, no cooperation, no faults, deterministic item sizes,
+    synthetic arrivals) each form their own singleton group, in node
+    order; any coupling collapses the tier into one group, and the
     ``reasons`` name each coupling.
     """
     from repro.workload.sizes import FixedSize
@@ -428,12 +320,11 @@ def plan_node_partition(config) -> NodePartition:
             "origin RNG stream whose draw order is global (first touch "
             "anywhere fixes the size everywhere)"
         )
-    window = topo.lookahead(mean_item_size=spec.mean_item_size).window
     if reasons:
         groups: tuple[tuple[int, ...], ...] = (tuple(range(topo.num_proxies)),)
     else:
         groups = tuple((node,) for node in range(topo.num_proxies))
-    return NodePartition(groups=groups, window=window, reasons=tuple(reasons))
+    return NodePartition(groups=groups, reasons=tuple(reasons))
 
 
 def effective_node_workers(requested: int | None, num_groups: int) -> int:
@@ -475,14 +366,15 @@ def effective_node_workers(requested: int | None, num_groups: int) -> int:
 
 @dataclass(frozen=True)
 class NodeShardPayload:
-    """One proxy node's complete share of a run, shipped back to the parent.
+    """One proxy node's complete share of a run.
 
-    Everything ``Simulation.run`` reads off a node after the loop ends,
-    in picklable form: the metrics snapshot (exact aggregation input),
-    the KPI shard, link/peer accounting, and the per-entity stats rows
-    tagged with their global build-order key (client id for the
-    per-client backend, class id for the aggregated backend) so the
-    parent reassembles the serial output's exact list order.
+    Everything the output reads off a node after the event loop ends, in
+    picklable form: the metrics snapshot (exact aggregation input), the
+    KPI shard, link/peer accounting, and the per-entity stats lists
+    aligned with ``clients``.  A ``clients`` entry is the entity's key:
+    a client id, or a class representative on the aggregated backend.
+    Keys ascend in build order on both backends, so merging every
+    node's lists by key reproduces the serial output's list order.
     """
 
     node_id: int
@@ -496,8 +388,9 @@ class NodeShardPayload:
     link_demand_bytes: float
     peer_fetches: int
     peer_bytes: float
-    #: (global build-order key, cache stats, controller stats) per entity
-    entity_rows: tuple = ()
+    #: cache and controller stats of each entity, aligned with ``clients``
+    cache_stats: list
+    controller_stats: list
     #: ClientClassStats rows of this node's classes (aggregated backend)
     class_rows: tuple = ()
 
@@ -509,10 +402,10 @@ def _run_shard_group(task) -> list[NodeShardPayload]:
     module must stay importable without dragging the whole simulation
     stack into every consumer of :class:`ReplicationExecutor`.
     """
-    config, group, window = task
+    config, group = task
     from repro.sim.simulation import Simulation
 
-    return Simulation(config, only_nodes=group).run_shard(window=window)
+    return Simulation(config, only_nodes=group).run_shard()
 
 
 def run_node_shards(
@@ -527,7 +420,7 @@ def run_node_shards(
     and every degradation is still bit-identical.  Payloads come back
     flattened in ascending node order (groups are built that way).
     """
-    tasks = [(config, group, plan.window) for group in plan.groups]
+    tasks = [(config, group) for group in plan.groups]
     workers = effective_node_workers(workers, len(tasks))
     grouped = ReplicationExecutor(jobs=workers).map(_run_shard_group, tasks)
     return [payload for payloads in grouped for payload in payloads]

@@ -42,10 +42,11 @@ a shard (its homed clients' requests, its link's utilisation) and
 from __future__ import annotations
 
 import gc
-import math
+import heapq
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Hashable, Iterator, Sequence
 
 from repro.cache.interaction import make_cache
@@ -82,7 +83,7 @@ from repro.sim.metrics import (
     MetricsCollector,
     SimulationMetrics,
     aggregate_snapshots,
-    finalize_aggregate,
+    finalize_aggregate,  # unused here: perfbench/trace.py wraps it by module attribute
 )
 from repro.sim.node import ProxyNode
 from repro.sim.parallel import (
@@ -90,7 +91,6 @@ from repro.sim.parallel import (
     get_default_node_backend,
     plan_node_partition,
     run_node_shards,
-    run_windows,
 )
 from repro.workload.aggregate import AggregateClassSource, partition_client_classes
 from repro.workload.arrivals import PoissonArrivals
@@ -620,6 +620,75 @@ class Simulation:
             )
         )
 
+    def _start_warmup(self) -> None:
+        """Start the warm-up boundary process of every node this build owns."""
+        for node in self.nodes:
+            if self._owns_node(node.node_id):
+                self.env.process(node.collector.warmup_process())
+
+    def _node_rates(self, schedule, rates) -> list[float]:
+        """Offered request rate per node, the load a policy plans against.
+
+        A static threshold policy must see the load its *own* uplink
+        carries, not the whole tier's — the tier aggregate would inflate
+        its rho estimate num_proxies-fold.  One proxy keeps the spec's
+        exact aggregate (seed bit-identity); otherwise ``rates``, the
+        ``(node id, rate)`` pairs of every entity in build order, are
+        summed per node — for singleton classes the per-client loop's
+        float-summation order.  Under phases the planner sees the
+        *time-averaged* offered load (single-phase: exactly the
+        multiplied rate).
+        """
+        topo = self.config.topology
+        avg_mult = 1.0 if schedule is None else schedule.average_multiplier()
+        if topo.num_proxies == 1:
+            return [self.config.workload.request_rate * avg_mult]
+        node_rates = [0.0] * topo.num_proxies
+        for node_id, rate in rates:
+            node_rates[node_id] += rate * avg_mult
+        return node_rates
+
+    def _attach_entity(
+        self, node: ProxyNode, entity_id: int, label: str, source, request_rate: float
+    ) -> PrefetchController:
+        """Build one entity's controller stack and home it at ``node``.
+
+        An entity is a client, or a client class attached under its
+        representative's id; ``label`` names its RNG streams.
+        """
+        config = self.config
+        predictor = _build_predictor(config, source)
+        estimator = ThresholdEstimator(
+            node.bandwidth, cache_size=float(node.cache_capacity)
+        )
+        cache = make_cache(
+            config.cache_policy,
+            node.cache_capacity,
+            rng=self._eviction_rng(label),
+            value_fn=lambda key, p=predictor: p.probability(key),
+        )
+        policy = _build_policy(
+            config,
+            estimator,
+            bandwidth=node.bandwidth,
+            cache_capacity=node.cache_capacity,
+            request_rate=request_rate,
+        )
+        controller = PrefetchController(
+            predictor=predictor,
+            policy=policy,
+            cache=cache,
+            bandwidth=node.bandwidth,
+            estimator=estimator,
+        )
+        table = node.attach_client(entity_id, controller=controller, cache=cache)
+        # The planner consults the unified table: items being demand-
+        # fetched are as in-flight as the controller's own prefetches.
+        controller.attach_fetch_table(table)
+        self.clients.append(controller)
+        self._caches.append(cache)
+        return controller
+
     def _build_clients(self) -> None:
         config = self.config
         if config.client_backend == "aggregated":
@@ -631,23 +700,11 @@ class Simulation:
         # Piecewise-stationary time structure (None = the stationary code
         # path, untouched by the phases feature).
         schedule = spec.make_schedule()
-        for node in self.nodes:
-            if not self._owns_node(node.node_id):
-                continue
-            self.env.process(node.collector.warmup_process())
-        # Offered rate per node: a static threshold policy must see the
-        # load its *own* uplink carries, not the whole tier's — the tier
-        # aggregate would inflate its rho estimate num_proxies-fold.  One
-        # proxy keeps the spec's exact aggregate (seed bit-identity).
-        # Under phases the planner sees the *time-averaged* offered load
-        # (single-phase: exactly the multiplied rate).
-        avg_mult = 1.0 if schedule is None else schedule.average_multiplier()
-        if topo.num_proxies == 1:
-            node_rates = [spec.request_rate * avg_mult]
-        else:
-            node_rates = [0.0] * topo.num_proxies
-            for c in range(self.num_clients):
-                node_rates[topo.home_of(c)] += spec.rate_of(c) * avg_mult
+        self._start_warmup()
+        node_rates = self._node_rates(
+            schedule,
+            ((topo.home_of(c), spec.rate_of(c)) for c in range(self.num_clients)),
+        )
         self._derive_entity_streams(
             [
                 f"client{c}"
@@ -670,36 +727,9 @@ class Simulation:
                 source = PhasedSourceView(
                     phase_sources, schedule, lambda: self.env.now
                 )
-            predictor = _build_predictor(config, source)
-            estimator = ThresholdEstimator(
-                node.bandwidth, cache_size=float(node.cache_capacity)
+            controller = self._attach_entity(
+                node, c, f"client{c}", source, node_rates[node.node_id]
             )
-            cache = make_cache(
-                config.cache_policy,
-                node.cache_capacity,
-                rng=self._eviction_rng(f"client{c}"),
-                value_fn=lambda key, p=predictor: p.probability(key),
-            )
-            policy = _build_policy(
-                config,
-                estimator,
-                bandwidth=node.bandwidth,
-                cache_capacity=node.cache_capacity,
-                request_rate=node_rates[node.node_id],
-            )
-            controller = PrefetchController(
-                predictor=predictor,
-                policy=policy,
-                cache=cache,
-                bandwidth=node.bandwidth,
-                estimator=estimator,
-            )
-            table = node.attach_client(c, controller=controller, cache=cache)
-            # The planner consults the unified table: items being demand-
-            # fetched are as in-flight as the controller's own prefetches.
-            controller.attach_fetch_table(table)
-            self.clients.append(controller)
-            self._caches.append(cache)
             if self.replay is not None:
                 handlers[c] = node.request_handler(c, controller)
             elif schedule is None:
@@ -728,52 +758,34 @@ class Simulation:
         reuse the per-client RNG stream names and draw order, which makes
         them bit-identical to the per-client backend (pinned by tests).
         """
-        config = self.config
-        topo = config.topology
-        spec = config.workload
+        spec = self.config.workload
         schedule = spec.make_schedule()
-        for node in self.nodes:
-            if not self._owns_node(node.node_id):
-                continue
-            self.env.process(node.collector.warmup_process())
-        classes = partition_client_classes(spec, topo)
+        self._start_warmup()
+        classes = partition_client_classes(spec, self.config.topology)
         # A shard worker keeps only its nodes' classes in the aligned
         # clients/_caches/client_classes lists; the *full* class list still
-        # feeds the node-rate arithmetic below so policies see the same
-        # floats as a serial build.
+        # feeds the node-rate arithmetic so policies see the same floats as
+        # a serial build.
         self.client_classes = [
             cls for cls in classes if self._owns_node(cls.node_id)
         ]
         self._derive_entity_streams(
             [cls.stream_label for cls in self.client_classes], schedule
         )
-        # Offered rate per node, mirroring the per-client loop: one proxy
-        # keeps the spec's exact aggregate; otherwise sum class rates in
-        # representative (= lowest client id) order, which for singleton
-        # classes is the identical float-summation order as the
-        # per-client loop — same policy inputs bit-for-bit.  Phases scale
-        # the planner's view by the time-averaged multiplier, exactly as
-        # the per-client build does.
-        avg_mult = 1.0 if schedule is None else schedule.average_multiplier()
-        if topo.num_proxies == 1:
-            node_rates = [spec.request_rate * avg_mult]
-        else:
-            node_rates = [0.0] * topo.num_proxies
-            for cls in classes:
-                node_rates[cls.node_id] += cls.request_rate * avg_mult
-        for cls in classes:
-            if not self._owns_node(cls.node_id):
-                continue
+        node_rates = self._node_rates(
+            schedule, ((cls.node_id, cls.request_rate) for cls in classes)
+        )
+        for cls in self.client_classes:
             node = self.nodes[cls.node_id]
             rep = cls.representative
             label = cls.stream_label
-            phase_sources = phase_arrivals = None
             if cls.singleton:
                 # One member: the exact per-client machinery (and RNG
                 # streams — label == f"client{rep}").
                 if schedule is None:
                     source = spec.make_source(rep, self.streams)
-                    arrivals = spec.make_arrivals(rep)
+                    phase_sources = (source,)
+                    phase_arrivals = (spec.make_arrivals(rep),)
                 else:
                     phase_sources = spec.make_phase_sources(
                         rep, self.streams, schedule
@@ -793,7 +805,8 @@ class Simulation:
                         follow_probability=cls.follow_probability,
                         rng=self.streams.get(f"{label}/items"),
                     )
-                    arrivals = PoissonArrivals(cls.request_rate)
+                    phase_sources = (source,)
+                    phase_arrivals = (PoissonArrivals(cls.request_rate),)
                 else:
                     # One merged source per item variant, each with its
                     # own dedicated RNG stream (base variant keeps the
@@ -821,55 +834,19 @@ class Simulation:
                     source = PhasedSourceView(
                         phase_sources, schedule, lambda: self.env.now
                     )
-            predictor = _build_predictor(config, source)
-            estimator = ThresholdEstimator(
-                node.bandwidth, cache_size=float(node.cache_capacity)
+            controller = self._attach_entity(
+                node, rep, label, source, node_rates[node.node_id]
             )
-            cache = make_cache(
-                config.cache_policy,
-                node.cache_capacity,
-                rng=self._eviction_rng(label),
-                value_fn=lambda key, p=predictor: p.probability(key),
-            )
-            policy = _build_policy(
-                config,
-                estimator,
-                bandwidth=node.bandwidth,
-                cache_capacity=node.cache_capacity,
-                request_rate=node_rates[node.node_id],
-            )
-            controller = PrefetchController(
-                predictor=predictor,
-                policy=policy,
-                cache=cache,
-                bandwidth=node.bandwidth,
-                estimator=estimator,
-            )
-            table = node.attach_client(rep, controller=controller, cache=cache)
-            controller.attach_fetch_table(table)
-            self.clients.append(controller)
-            self._caches.append(cache)
-            if schedule is None:
-                self.env.process(
-                    node.class_process(
-                        rep,
-                        controller,
-                        arrivals=arrivals,
-                        arrival_rng=self.streams.get(f"{label}/arrivals"),
-                        items=source.stream(),
-                    )
+            self.env.process(
+                node.class_process(
+                    rep,
+                    controller,
+                    phase_arrivals=phase_arrivals,
+                    arrival_rng=self.streams.get(f"{label}/arrivals"),
+                    item_streams=tuple(s.stream() for s in phase_sources),
+                    schedule=schedule,
                 )
-            else:
-                self.env.process(
-                    node.phased_class_process(
-                        rep,
-                        controller,
-                        schedule=schedule,
-                        phase_arrivals=phase_arrivals,
-                        arrival_rng=self.streams.get(f"{label}/arrivals"),
-                        item_streams=tuple(s.stream() for s in phase_sources),
-                    )
-                )
+            )
 
     def _trace_driver(self, handlers):
         """Replay driver: one process walking the merged trace in recorded
@@ -894,125 +871,28 @@ class Simulation:
     def run(self) -> SimulationOutput:
         if self._plan is not None:
             return self._run_parallel()
-        with _collector_scope(freeze=True):
-            self.env.run(until=self.config.duration)
-        shards = tuple(
-            ProxyShardStats(
-                node_id=node.node_id,
-                clients=tuple(node.clients),
-                metrics=node.collector.finalize(),
-                bandwidth=node.bandwidth,
-                link_demand_fetches=node.link.demand_fetches,
-                link_prefetch_fetches=node.link.prefetch_fetches,
-                link_prefetch_bytes=node.link.prefetch_bytes,
-                link_demand_bytes=node.link.demand_bytes,
-                peer_fetches=(
-                    node.peer_link.peer_fetches if node.peer_link else 0
-                ),
-                peer_bytes=(
-                    node.peer_link.peer_bytes if node.peer_link else 0.0
-                ),
-            )
-            for node in self.nodes
-        )
-        if len(shards) == 1:
-            metrics = shards[0].metrics
-        else:
-            metrics = finalize_aggregate([n.collector for n in self.nodes])
-        class_rows = tuple(
-            ClientClassStats(
-                class_id=cls.class_id,
-                node_id=cls.node_id,
-                num_members=cls.size,
-                representative=cls.representative,
-                request_rate=cls.request_rate,
-                requests=controller.stats.requests,
-                cache_hits=cache.stats.hits,
-                cache_misses=cache.stats.misses,
-                prefetches_issued=controller.stats.prefetches_issued,
-                prefetches_completed=controller.stats.prefetches_completed,
-            )
-            for cls, controller, cache in zip(
-                self.client_classes, self.clients, self._caches
-            )
-        )
-        demand_bytes = sum(s.link_demand_bytes for s in shards)
-        prefetch_bytes = sum(s.link_prefetch_bytes for s in shards)
-        peer_bytes = sum(s.peer_bytes for s in shards)
+        payloads = self.run_shard()
         fault_timeline = (
             self.fault_runtime.finalize()
             if self.fault_runtime is not None
             else ()
         )
-        kpis = RunKPIs.from_shards(
-            tuple(node.collector.kpi_shard(node.node_id) for node in self.nodes),
-            demand_bytes=demand_bytes,
-            prefetch_bytes=prefetch_bytes,
-            peer_bytes=peer_bytes,
-            fault_timeline=fault_timeline,
-        )
-        return SimulationOutput(
-            metrics=metrics,
-            cache_stats=[c.stats for c in self._caches],
-            controller_stats=[c.stats for c in self.clients],
-            link_demand_fetches=sum(s.link_demand_fetches for s in shards),
-            link_prefetch_fetches=sum(s.link_prefetch_fetches for s in shards),
-            link_prefetch_bytes=prefetch_bytes,
-            link_demand_bytes=demand_bytes,
-            per_proxy=shards,
-            peer_fetches=sum(s.peer_fetches for s in shards),
-            peer_bytes=peer_bytes,
-            client_classes=class_rows,
-            kpis=kpis,
-        )
+        return _assemble(payloads, fault_timeline=fault_timeline)
 
-    # ------------------------------------------------------------------
-    # Parallel node backend (PR 9)
-    # ------------------------------------------------------------------
-    def run_shard(self, *, window: float | None = None) -> list[NodeShardPayload]:
-        """Run a shard-group build to completion; return per-node payloads.
+    def run_shard(self) -> list[NodeShardPayload]:
+        """Run the event loop to the horizon; return one payload per owned node.
 
-        The worker half of the parallel node backend: the event loop
-        advances through :func:`~repro.sim.parallel.run_windows` — one
-        conservative window at a time when the partition derived a finite
-        lookahead, one single window (no barriers) for fully-decoupled
-        groups — and every node this build owns is frozen into a picklable
-        :class:`~repro.sim.parallel.NodeShardPayload`.  Window-bounded
-        draining is bit-identical to one straight ``run`` (pinned at the
-        environment level), so the payloads never depend on the window.
+        The only code that reads a node after the loop: a serial run
+        assembles its output from these payloads, and each worker of the
+        parallel node backend ships them back to the parent.
         """
-        duration = self.config.duration
-        if window is None or not math.isfinite(window) or window <= 0:
-            window = duration
         with _collector_scope(freeze=True):
-            run_windows(self.env, until=duration, window=window)
+            self.env.run(until=self.config.duration)
         owned = (
             self.only_nodes
             if self.only_nodes is not None
-            else tuple(range(len(self.nodes)))
+            else range(len(self.nodes))
         )
-        if self.config.client_backend == "aggregated":
-            # Build-order key = class id (partition order IS build order).
-            entity_rows = {
-                node_id: [] for node_id in owned
-            }
-            for cls, controller, cache in zip(
-                self.client_classes, self.clients, self._caches
-            ):
-                entity_rows[cls.node_id].append(
-                    (cls.class_id, cache.stats, controller.stats)
-                )
-        else:
-            # Build-order key = client id (ascending-id build loop).
-            entity_rows = {node_id: [] for node_id in owned}
-            for node_id in owned:
-                node = self.nodes[node_id]
-                entity_rows[node_id] = [
-                    (client_id, cache.stats, controller.stats)
-                    for client_id, cache, controller in zip(
-                        node.clients, node.caches, node.controllers
-                    )
-                ]
         class_rows = {node_id: [] for node_id in owned}
         for cls, controller, cache in zip(
             self.client_classes, self.clients, self._caches
@@ -1036,10 +916,10 @@ class Simulation:
             node = self.nodes[node_id]
             payloads.append(
                 NodeShardPayload(
-                    node_id=node.node_id,
+                    node_id=node_id,
                     clients=tuple(node.clients),
                     snapshot=node.collector.snapshot(),
-                    kpi=node.collector.kpi_shard(node.node_id),
+                    kpi=node.collector.kpi_shard(node_id),
                     bandwidth=node.bandwidth,
                     link_demand_fetches=node.link.demand_fetches,
                     link_prefetch_fetches=node.link.prefetch_fetches,
@@ -1051,78 +931,98 @@ class Simulation:
                     peer_bytes=(
                         node.peer_link.peer_bytes if node.peer_link else 0.0
                     ),
-                    entity_rows=tuple(entity_rows[node_id]),
+                    cache_stats=[c.stats for c in node.caches],
+                    controller_stats=[c.stats for c in node.controllers],
                     class_rows=tuple(class_rows[node_id]),
                 )
             )
         return payloads
 
+    # ------------------------------------------------------------------
+    # Parallel node backend
+    # ------------------------------------------------------------------
     def _run_parallel(self) -> SimulationOutput:
-        """Dispatch the partitioned tier to workers; merge exactly.
+        """Dispatch the partitioned tier to workers; assemble their payloads
+        exactly as :meth:`run` assembles its own."""
+        return _assemble(
+            run_node_shards(self.config, self._plan, workers=self._node_workers)
+        )
 
-        Reassembles the serial :meth:`run` output bit-for-bit from the
-        shipped payloads: shards in node order, the tier aggregate through
-        the same :func:`~repro.sim.metrics.aggregate_snapshots` arithmetic
-        the serial path uses, per-entity stats lists re-interleaved by
-        their global build-order keys, and KPIs from the per-node shards
-        exactly as the serial path computes them.
-        """
-        payloads = run_node_shards(
-            self.config, self._plan, workers=self._node_workers
+
+def _assemble(
+    payloads: Sequence[NodeShardPayload], *, fault_timeline: tuple = ()
+) -> SimulationOutput:
+    """The output of a run, from its per-node payloads in node order.
+
+    Serial and parallel runs alike: shards in node order, the tier
+    aggregate through :func:`~repro.sim.metrics.aggregate_snapshots`,
+    KPIs from the per-node shards.  Entity keys are the global build
+    order on both client backends (class ids follow representatives), so
+    merging the nodes' stats lists by key gives the build-order lists; a
+    one-node run hands its node's lists over as they are.
+    """
+    shards = tuple(
+        ProxyShardStats(
+            node_id=p.node_id,
+            clients=p.clients,
+            metrics=p.snapshot.finalize(),
+            bandwidth=p.bandwidth,
+            link_demand_fetches=p.link_demand_fetches,
+            link_prefetch_fetches=p.link_prefetch_fetches,
+            link_prefetch_bytes=p.link_prefetch_bytes,
+            link_demand_bytes=p.link_demand_bytes,
+            peer_fetches=p.peer_fetches,
+            peer_bytes=p.peer_bytes,
         )
-        payloads.sort(key=lambda p: p.node_id)
-        shards = tuple(
-            ProxyShardStats(
-                node_id=p.node_id,
-                clients=p.clients,
-                metrics=p.snapshot.finalize(),
-                bandwidth=p.bandwidth,
-                link_demand_fetches=p.link_demand_fetches,
-                link_prefetch_fetches=p.link_prefetch_fetches,
-                link_prefetch_bytes=p.link_prefetch_bytes,
-                link_demand_bytes=p.link_demand_bytes,
-                peer_fetches=p.peer_fetches,
-                peer_bytes=p.peer_bytes,
+        for p in payloads
+    )
+    if len(payloads) == 1:
+        (only,) = payloads
+        metrics = shards[0].metrics
+        cache_stats, controller_stats = only.cache_stats, only.controller_stats
+        class_rows = only.class_rows
+    else:
+        metrics = aggregate_snapshots([p.snapshot for p in payloads])
+        # Keys are unique, so the merge never compares two stats objects.
+        rows = list(
+            heapq.merge(
+                *(
+                    zip(p.clients, p.cache_stats, p.controller_stats)
+                    for p in payloads
+                )
             )
-            for p in payloads
         )
-        if len(shards) == 1:
-            metrics = shards[0].metrics
-        else:
-            metrics = aggregate_snapshots([p.snapshot for p in payloads])
-        entity_rows = sorted(
-            (row for p in payloads for row in p.entity_rows),
-            key=lambda row: row[0],
-        )
+        cache_stats = [row[1] for row in rows]
+        controller_stats = [row[2] for row in rows]
         class_rows = tuple(
-            sorted(
-                (row for p in payloads for row in p.class_rows),
-                key=lambda row: row.class_id,
+            heapq.merge(
+                *(p.class_rows for p in payloads), key=attrgetter("class_id")
             )
         )
-        demand_bytes = sum(s.link_demand_bytes for s in shards)
-        prefetch_bytes = sum(s.link_prefetch_bytes for s in shards)
-        peer_bytes = sum(s.peer_bytes for s in shards)
-        kpis = RunKPIs.from_shards(
-            tuple(p.kpi for p in payloads),
-            demand_bytes=demand_bytes,
-            prefetch_bytes=prefetch_bytes,
-            peer_bytes=peer_bytes,
-        )
-        return SimulationOutput(
-            metrics=metrics,
-            cache_stats=[row[1] for row in entity_rows],
-            controller_stats=[row[2] for row in entity_rows],
-            link_demand_fetches=sum(s.link_demand_fetches for s in shards),
-            link_prefetch_fetches=sum(s.link_prefetch_fetches for s in shards),
-            link_prefetch_bytes=prefetch_bytes,
-            link_demand_bytes=demand_bytes,
-            per_proxy=shards,
-            peer_fetches=sum(s.peer_fetches for s in shards),
-            peer_bytes=peer_bytes,
-            client_classes=class_rows,
-            kpis=kpis,
-        )
+    demand_bytes = sum(s.link_demand_bytes for s in shards)
+    prefetch_bytes = sum(s.link_prefetch_bytes for s in shards)
+    peer_bytes = sum(s.peer_bytes for s in shards)
+    kpis = RunKPIs.from_shards(
+        tuple(p.kpi for p in payloads),
+        demand_bytes=demand_bytes,
+        prefetch_bytes=prefetch_bytes,
+        peer_bytes=peer_bytes,
+        fault_timeline=fault_timeline,
+    )
+    return SimulationOutput(
+        metrics=metrics,
+        cache_stats=cache_stats,
+        controller_stats=controller_stats,
+        link_demand_fetches=sum(s.link_demand_fetches for s in shards),
+        link_prefetch_fetches=sum(s.link_prefetch_fetches for s in shards),
+        link_prefetch_bytes=prefetch_bytes,
+        link_demand_bytes=demand_bytes,
+        per_proxy=shards,
+        peer_fetches=sum(s.peer_fetches for s in shards),
+        peer_bytes=peer_bytes,
+        client_classes=class_rows,
+        kpis=kpis,
+    )
 
 
 def run_simulation(config: SimulationConfig) -> SimulationOutput:

@@ -1,19 +1,23 @@
-"""Conservative parallel node backend (PR 9): bit-identity and protocol.
+"""Parallel node backend: partition planner and bit-identity.
 
-Three layers of coverage:
+Two layers of coverage:
 
-* the **protocol primitives** — ``Environment.run_window`` window
-  splitting, the ``ShardMessage`` merge order, ``run_windows`` barrier
-  loop — pinned against their serial equivalents;
-* the **partition planner** — which configs shard into singleton groups
-  (infinite lookahead) and which collapse into one coupled group with
-  named reasons, plus the oversubscription guard on the worker fan-out;
+* the **partition planner** — a property test over the config space
+  pins exactly which configs shard into singleton groups (decoupled
+  tiers, each node its own event loop) and which collapse into one
+  coupled group with one named reason per coupling, plus the
+  oversubscription guard on the worker fan-out;
 * the **cross-backend determinism fuzz** — a spread of seeded configs
   (topologies x routing x cooperation x phases x client backends) where
   ``node_backend="parallel"`` must reproduce the serial event loop
   bit-for-bit: headline metrics, per-shard rows, per-entity cache and
   controller stats, class rows and the KPI scorecard.  The single-proxy
   pinned scenario from ``test_topology`` must come out identical too.
+
+Serial and parallel outputs are assembled by one function, so this fuzz
+checks the two event-loop layouts against each other;
+``test_assembly.py`` checks the assembly itself against the live
+simulation objects.
 """
 
 from __future__ import annotations
@@ -23,33 +27,31 @@ import math
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import test_topology  # same-directory test module: pinned seed scenario
 
 import repro.sim.parallel as parallel_mod
-from repro.des.environment import Environment
 from repro.errors import SimulationError
 from repro.network.topology import CooperationConfig, TopologyConfig
 from repro.scenario import ScenarioError, compile_config, parse_scenario
 from repro.sim.config import SimulationConfig
+from repro.sim.faults import FaultEvent, FaultSchedule
 from repro.sim.kpis import QuantileSketch
 from repro.sim.metrics import aggregate_snapshots
 from repro.sim.parallel import (
-    ShardMessage,
-    deliver_messages,
     effective_node_workers,
     get_default_node_backend,
-    merge_message_batches,
     node_backend_session,
     plan_node_partition,
-    run_windows,
     set_default_node_backend,
 )
 from repro.sim.simulation import Simulation, run_simulation
 from repro.sim.sweep import scenario_hash
 from repro.workload.phases import PhaseSpec
 from repro.workload.sessions import WorkloadSpec
-from repro.workload.sizes import ExponentialSize
+from repro.workload.sizes import ExponentialSize, FixedSize
 
 
 # ----------------------------------------------------------------------
@@ -87,158 +89,7 @@ def assert_outputs_identical(a, b):
 
 
 # ----------------------------------------------------------------------
-# Protocol primitives: run_window / messages / run_windows
-# ----------------------------------------------------------------------
-
-
-def _scripted_env(log):
-    """An environment with interleaved processes and timers to drain."""
-    env = Environment()
-
-    def ticker(period, label, count):
-        for _ in range(count):
-            yield env.timeout(period)
-            log.append((env.now, label))
-
-    env.process(ticker(0.7, "a", 12))
-    env.process(ticker(1.1, "b", 8))
-    env.process(ticker(0.7, "c", 12))  # ties with "a" at every multiple
-    env.call_at(3.5, lambda event: log.append((env.now, "timer")))
-    return env
-
-
-def test_run_window_matches_run():
-    serial_log, window_log = [], []
-    serial = _scripted_env(serial_log)
-    serial.run(until=9.0)
-    windowed = _scripted_env(window_log)
-    deadline, processed = 0.0, 0
-    while deadline < 9.0:
-        deadline = min(deadline + 0.9, 9.0)  # boundaries hit event times too
-        processed += windowed.run_window(deadline)
-    assert window_log == serial_log
-    assert windowed.now == serial.now == 9.0
-    # one single window processes exactly the same number of events
-    single_log = []
-    single = _scripted_env(single_log)
-    assert single.run_window(9.0) == processed
-    assert single_log == serial_log
-    # a coarser, irregular split pattern lands on identical history too
-    third_log = []
-    third = _scripted_env(third_log)
-    for stop in (0.35, 0.7, 2.0, 2.0, 8.999, 9.0):
-        third.run_window(stop)
-    assert third_log == serial_log
-
-
-def test_run_window_rejects_past_deadline():
-    env = Environment()
-    env.run_window(2.0)
-    with pytest.raises(SimulationError, match="in the past"):
-        env.run_window(1.0)
-
-
-def test_run_window_returns_processed_count():
-    log = []
-    env = Environment()
-    for t in (0.5, 1.5, 2.5):
-        env.call_at(t, lambda event: log.append(env.now))
-    assert env.run_window(1.0) == 1
-    assert env.run_window(2.0) == 1
-    assert env.run_window(2.4) == 0
-    assert env.run_window(3.0) == 1
-    assert log == [0.5, 1.5, 2.5]
-
-
-def test_merge_message_batches_deterministic_total_order():
-    def msg(time, priority, sender, seq, payload=None):
-        return ShardMessage(
-            time=time, priority=priority, sender=sender, seq=seq, payload=payload
-        )
-
-    batch_a = [msg(1.0, 0, 0, 0), msg(2.0, 0, 0, 1), msg(2.0, 1, 0, 2)]
-    batch_b = [msg(1.0, 0, 1, 0), msg(2.0, 0, 1, 1)]
-    merged = merge_message_batches([batch_a, batch_b])
-    assert [m.key for m in merged] == [
-        (1.0, 0, 0, 0),
-        (1.0, 0, 1, 0),
-        (2.0, 0, 0, 1),
-        (2.0, 0, 1, 1),
-        (2.0, 1, 0, 2),
-    ]
-    # batch arrival order (worker completion order) cannot change the merge
-    flipped = merge_message_batches([batch_b, batch_a])
-    assert flipped == merged
-
-
-def test_deliver_messages_fires_in_merge_order():
-    env = Environment()
-    fired = []
-    messages = merge_message_batches(
-        [
-            [ShardMessage(1.0, 0, 1, 0, payload="s1#0")],
-            [
-                ShardMessage(1.0, 0, 0, 0, payload="s0#0"),
-                ShardMessage(1.0, 0, 0, 1, payload="s0#1"),
-                ShardMessage(2.0, 0, 0, 2, payload="late"),
-            ],
-        ]
-    )
-    deliver_messages(env, messages, lambda m: fired.append((env.now, m.payload)))
-    env.run(until=3.0)
-    assert fired == [
-        (1.0, "s0#0"),
-        (1.0, "s0#1"),
-        (1.0, "s1#0"),
-        (2.0, "late"),
-    ]
-
-
-def test_run_windows_barrier_loop_with_drain():
-    env = Environment()
-    fired = []
-    barriers = []
-    inbox = {
-        0.0: [],
-        1.5: [ShardMessage(2.0, 0, 1, 0, payload="w1")],
-        3.0: [ShardMessage(4.0, 0, 1, 1, payload="w2")],
-        4.5: [],
-    }
-
-    def drain(now):
-        barriers.append(now)
-        return inbox.get(now, [])
-
-    windows = run_windows(
-        env,
-        until=6.0,
-        window=1.5,
-        drain=drain,
-        handler=lambda m: fired.append((env.now, m.payload)),
-    )
-    assert windows == 4
-    assert barriers == [0.0, 1.5, 3.0, 4.5]
-    assert fired == [(2.0, "w1"), (4.0, "w2")]
-    assert env.now == 6.0
-
-
-def test_run_windows_single_window_for_infinite_lookahead():
-    env = Environment()
-    hits = []
-    env.call_at(2.0, lambda event: hits.append(env.now))
-    assert run_windows(env, until=5.0, window=math.inf) == 1
-    assert hits == [2.0]
-    assert env.now == 5.0
-
-
-def test_run_windows_rejects_degenerate_window():
-    for bad in (0.0, -1.0, math.nan):
-        with pytest.raises(ValueError, match="window must be > 0"):
-            run_windows(Environment(), until=1.0, window=bad)
-
-
-# ----------------------------------------------------------------------
-# Partition planner and lookahead analysis
+# Partition planner
 # ----------------------------------------------------------------------
 
 
@@ -268,9 +119,63 @@ def fuzz_config(**overrides):
 def test_plan_decoupled_tier_shards_per_node():
     plan = plan_node_partition(fuzz_config())
     assert plan.groups == ((0,), (1,), (2,))
-    assert plan.window == math.inf
     assert plan.reasons == ()
     assert plan.parallel
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    num_proxies=st.integers(min_value=1, max_value=6),
+    routing=st.sampled_from(["client-affinity", "item-hash"]),
+    cooperation=st.sampled_from(["none", "owner-probe", "broadcast"]),
+    stochastic_sizes=st.booleans(),
+    trace=st.booleans(),
+    faulted=st.booleans(),
+)
+def test_plan_shards_exactly_the_decoupled_tiers(
+    num_proxies, routing, cooperation, stochastic_sizes, trace, faulted
+):
+    """Only a decoupled tier shards, into singleton groups in node order.
+
+    Every coupling adds one reason and keeps the tier in one group, so a
+    sharded tier never has a cross-node channel to synchronise.
+    """
+    # A one-proxy ring cannot lose its only node: faults need two.
+    faulted = faulted and num_proxies > 1
+    sizes = ExponentialSize(1.0) if stochastic_sizes else FixedSize(1.0)
+    config = fuzz_config(
+        workload=WorkloadSpec(
+            num_clients=9, request_rate=45.0, size_distribution=sizes
+        ),
+        topology=TopologyConfig(
+            num_proxies=num_proxies,
+            routing=routing,
+            cooperation=CooperationConfig(mode=cooperation),
+        ),
+        trace_path="some_trace.jsonl" if trace else None,
+        faults=(
+            FaultSchedule((FaultEvent(time=10.0, kind="proxy-fail", node=1),))
+            if faulted
+            else FaultSchedule()
+        ),
+    )
+    multi = num_proxies > 1
+    couplings = [
+        not multi,
+        trace,
+        multi and routing == "item-hash",
+        multi and cooperation != "none",
+        faulted,
+        stochastic_sizes,
+    ]
+    plan = plan_node_partition(config)
+    assert plan.parallel == (not any(couplings))
+    if plan.parallel:
+        assert plan.groups == tuple((node,) for node in range(num_proxies))
+        assert plan.reasons == ()
+    else:
+        assert plan.groups == (tuple(range(num_proxies)),)
+        assert len(plan.reasons) == sum(couplings)
 
 
 def test_plan_single_proxy_is_one_group():
@@ -314,30 +219,6 @@ def test_plan_coupled_tiers_collapse_with_reason(overrides, reason_fragment):
     assert plan.groups == ((0, 1, 2),)
     assert not plan.parallel
     assert any(reason_fragment in r for r in plan.reasons)
-
-
-def test_lookahead_channels():
-    coop = TopologyConfig(
-        num_proxies=2,
-        cooperation=CooperationConfig(
-            mode="owner-probe", probe_latency=0.004, peer_bandwidth=100.0
-        ),
-    )
-    analysis = coop.lookahead(mean_item_size=1.0)
-    channels = dict(analysis.channels)
-    assert channels["probe"] == pytest.approx(0.004)
-    assert channels["peer-transfer"] == pytest.approx(1.0 / 100.0)
-    assert "probe-state-read" in analysis.zero_channels
-    assert analysis.window == 0.0  # the state-read channel pins it at zero
-
-    decoupled = TopologyConfig(num_proxies=4).lookahead(mean_item_size=1.0)
-    assert decoupled.channels == ()
-    assert decoupled.window == math.inf
-
-    hashed = TopologyConfig(num_proxies=2, routing="item-hash").lookahead(
-        mean_item_size=1.0
-    )
-    assert hashed.zero_channels == ("remote-uplink-dispatch",)
 
 
 # ----------------------------------------------------------------------
@@ -414,15 +295,16 @@ def test_only_nodes_rejects_unknown_proxy():
 
 
 # ----------------------------------------------------------------------
-# Window-split bit-identity at the full-simulation level
+# Shard-group build at the full-simulation level
 # ----------------------------------------------------------------------
 
 
 def test_sim_window_split_is_bit_identical():
+    """A shard-group build owning every node runs the serial shards."""
     config = fuzz_config()
     serial = run_simulation(config)
     sharded = Simulation(config, only_nodes=(0, 1, 2))
-    payloads = sharded.run_shard(window=3.7)  # dozens of mid-run barriers
+    payloads = sharded.run_shard()
     assert [p.node_id for p in payloads] == [0, 1, 2]
     per_node = [p.snapshot.finalize() for p in payloads]
     assert canon(per_node) == canon([s.metrics for s in serial.per_proxy])

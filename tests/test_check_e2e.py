@@ -74,3 +74,59 @@ class TestE2EGate:
 
     def test_usage_error(self):
         assert check_e2e.main([]) == 2
+
+
+def same_as_run(tmp_path, document, base, capsys) -> tuple[int, str]:
+    path = tmp_path / "CHANGE.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    base_path = tmp_path / "PARENT.json"
+    base_path.write_text(json.dumps(base), encoding="utf-8")
+    status = check_e2e.main([str(path), "--same-as", str(base_path)])
+    return status, capsys.readouterr().out
+
+
+class TestSameAs:
+    def test_identical_fingerprints_pass(self, tmp_path, capsys):
+        document = result(a={"fingerprints": ["abc", "def"]}, b={})
+        status, out = same_as_run(tmp_path, document, document, capsys)
+        assert status == 0
+        assert "fingerprints equal" in out
+
+    def test_a_changed_fingerprint_fails_and_names_the_workload(
+        self, tmp_path, capsys
+    ):
+        base = result(a={"fingerprints": ["abc", "def"]}, b={})
+        change = result(a={"fingerprints": ["abc", "xyz"]}, b={})
+        status, out = same_as_run(tmp_path, change, base, capsys)
+        assert status == 1
+        assert "FAILED: a: fingerprints ['abc', 'xyz'] differ" in out
+        assert "b:" not in out
+
+    def test_different_seeds_fail(self, tmp_path, capsys):
+        base = result(a={})
+        change = {**result(a={}), "seed": 11}
+        status, out = same_as_run(tmp_path, change, base, capsys)
+        assert status == 1
+        assert "seed 11 differs from the base's 7" in out
+
+    def test_a_workload_missing_from_one_side_fails(self, tmp_path, capsys):
+        status, out = same_as_run(
+            tmp_path, result(a={}), result(a={}, b={}), capsys
+        )
+        assert status == 1
+        assert "FAILED: b: fingerprints None differ" in out
+
+    def test_the_plain_gate_still_applies(self, tmp_path, capsys):
+        change = result(a={"failed": 1})
+        status, out = same_as_run(tmp_path, change, result(a={}), capsys)
+        assert status == 1
+        assert "a: 1 of 2 rounds failed" in out
+
+    def test_missing_base_fails(self, tmp_path):
+        path = tmp_path / "CHANGE.json"
+        path.write_text(json.dumps(result(a={})), encoding="utf-8")
+        missing = tmp_path / "absent.json"
+        assert check_e2e.main([str(path), "--same-as", str(missing)]) == 1
+
+    def test_flag_without_a_file_is_a_usage_error(self, tmp_path):
+        assert check_e2e.main([str(tmp_path / "x.json"), "--same-as"]) == 2

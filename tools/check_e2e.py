@@ -12,12 +12,19 @@ as *failed*.  This script reads the file that ``run.py --out`` writes and
   from the pinned seed-7 reference (``fingerprint_changed``): a
   deliberate re-pin of the simulator changes fingerprints.
 
+With ``--same-as BASE.json`` it also checks bit-identity against another
+result file, typically the parent commit's at the same seed: it fails
+when the two files' seeds differ, or when any workload's output
+fingerprints differ from BASE's (a workload present in only one file
+counts as differing).
+
 Warnings are printed as GitHub Actions ``::warning::`` annotations.
 
 Usage::
 
     python3 perfbench/run.py --rounds 1 --out BENCH_E2E.json
     python3 tools/check_e2e.py BENCH_E2E.json
+    python3 tools/check_e2e.py BENCH_E2E.json --same-as PARENT.json
 """
 
 from __future__ import annotations
@@ -46,22 +53,59 @@ def gate(document: dict) -> tuple[list[str], list[str]]:
     return failures, warnings
 
 
+def same_as(document: dict, base: dict) -> list[str]:
+    """Why ``document`` is not bit-identical to ``base`` (empty when it is)."""
+    if document.get("seed") != base.get("seed"):
+        return [
+            f"seed {document.get('seed')} differs from the base's "
+            f"{base.get('seed')}: fingerprints are comparable only at one seed"
+        ]
+    ours = document.get("workloads") or {}
+    theirs = base.get("workloads") or {}
+    failures = []
+    for name in sorted(set(ours) | set(theirs)):
+        mine = ours.get(name, {}).get("fingerprints")
+        other = theirs.get(name, {}).get("fingerprints")
+        if mine != other:
+            failures.append(
+                f"{name}: fingerprints {mine} differ from the base's {other}"
+            )
+    return failures
+
+
+def _usage() -> int:
+    print("usage: check_e2e.py RESULT.json [--same-as BASE.json]", file=sys.stderr)
+    return 2
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = sys.argv[1:] if argv is None else argv
+    args = list(sys.argv[1:] if argv is None else argv)
+    base_path = None
+    if "--same-as" in args:
+        at = args.index("--same-as")
+        if at + 1 == len(args):
+            return _usage()
+        base_path = Path(args.pop(at + 1))
+        args.pop(at)
     if len(args) != 1:
-        print("usage: check_e2e.py RESULT.json", file=sys.stderr)
-        return 2
+        return _usage()
     path = Path(args[0])
-    if not path.exists():
-        print(f"e2e gate: no result file at {path}", file=sys.stderr)
-        return 1
-    failures, warnings = gate(json.loads(path.read_text(encoding="utf-8")))
+    for required in (path, base_path):
+        if required is not None and not required.exists():
+            print(f"e2e gate: no result file at {required}", file=sys.stderr)
+            return 1
+    document = json.loads(path.read_text(encoding="utf-8"))
+    failures, warnings = gate(document)
+    if base_path is not None:
+        failures += same_as(document, json.loads(base_path.read_text(encoding="utf-8")))
     for warning in warnings:
         print(f"::warning::{warning}")
     for failure in failures:
         print(f"FAILED: {failure}")
     if not failures:
         print("e2e gate: every round of every workload passed its checks")
+        if base_path is not None:
+            print(f"e2e gate: every workload's fingerprints equal {base_path}'s")
     return 1 if failures else 0
 
 
