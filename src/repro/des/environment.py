@@ -250,13 +250,13 @@ class Environment:
     def call_at(self, time: float, callback, value: Any = None) -> Timeout:
         """Schedule ``callback(event)`` directly at absolute time ``time``.
 
-        The block-scheduling primitive behind the aggregated client driver:
-        a whole block of pre-drawn arrivals is pushed onto the heap with
-        the dispatch callback already attached, so firing an arrival costs
-        one callback call — no driver-generator resume, no ``Process``
-        machinery per event.  ``value`` rides on the event (``event.value``)
-        for the callback to consume.  The queue entry is identical to
-        :meth:`at`'s, so ordering against every other event is unchanged.
+        The primitive behind the synthetic arrival driver: each arrival
+        is pushed onto the heap with its callback already attached, so
+        firing it costs one callback call — no generator resume, no
+        ``Process`` machinery per event.  ``value`` rides on the event
+        (``event.value``) for the callback to consume.  The queue entry is
+        identical to :meth:`at`'s, so ordering against every other event
+        is unchanged.
         """
         if time < self._now:
             raise SimulationError(

@@ -117,13 +117,13 @@ class ScenarioExperiment(Experiment):
         multiplier, so phased and twin offer identical average load.
         """
         workload = pt.config.workload
-        schedule = workload.make_schedule()
-        if schedule is None:
+        if workload.phases is None:
             return None
+        average = workload.make_schedule().average_multiplier()
         stationary = replace(
             workload,
             phases=None,
-            request_rate=workload.request_rate * schedule.average_multiplier(),
+            request_rate=workload.request_rate * average,
         )
         return SweepPoint(
             key=pt.key + STATIONARY_SUFFIX,

@@ -88,11 +88,11 @@ class SimulationConfig:
         defaults the topology may override per proxy.
     client_backend:
         How the population is realised inside the DES.  ``per-client``
-        (default) builds one process/cache/controller per client — the
-        exact per-client system, bit-identical to every earlier PR.
+        (default) builds one arrival stream/cache/controller per client —
+        the exact per-client system, bit-identical to every earlier PR.
         ``aggregated`` partitions the population into homogeneous classes
         (see :mod:`repro.workload.aggregate`) and drives each class with
-        one batched arrival process and one shared controller/cache —
+        one arrival process and one shared controller/cache —
         statistically indistinguishable at the class level (bit-identical
         for singleton classes) while scaling a single run to 100k–1M
         clients.  Incompatible with ``trace_path`` (a recorded trace *is*

@@ -36,29 +36,29 @@ duplicate transfer into existence.
 
 One table serves one client: caches are per client, so joining across
 clients would hand a requester a transfer that fills someone else's cache.
+
+Arrivals reach the request path through one synthetic driver,
+:meth:`ProxyNode.start_arrivals`, for every entity: a client is a
+one-member client class, and a stationary workload is one neutral phase.
+Trace replay runs through one merged ``Simulation``-level driver instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf
 from typing import TYPE_CHECKING, Hashable, Iterator, KeysView
 
 from repro.des.events import Event
 from repro.errors import NodeFailure, SimulationError
 from repro.network.link import SharedLink
 from repro.sim.metrics import MetricsCollector
+from repro.workload.phases import arrival_times
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (sim builds nodes)
     from repro.prefetch.controller import PrefetchController
     from repro.sim.simulation import Simulation
 
 __all__ = ["FetchTable", "FetchTableStats", "PendingFetch", "ProxyNode"]
-
-
-def _stationary(t: float) -> tuple[int, float]:
-    """``PhaseSchedule.locate`` of a run without phases: one endless phase."""
-    return 0, inf
 
 
 @dataclass(slots=True)
@@ -533,171 +533,46 @@ class ProxyNode:
     # Synthetic arrival driver (trace replay runs through one merged
     # Simulation-level driver instead: recorded order IS time order)
     # ------------------------------------------------------------------
-    def client_process(self, client_id: int, source, controller):
-        """Synthetic driver: Poisson-timed requests from the Markov source."""
-        sim = self.sim
-        spec = sim.config.workload
-        arrivals = spec.make_arrivals(client_id)
-        arrival_rng = sim.streams.get(f"client{client_id}/arrivals")
-        # Built on the first arrival: most clients of a large population
-        # never arrive inside a short run, and the handler's closures are
-        # pure (building them later changes nothing they compute).
-        handle_request = None
+    def start_arrivals(
+        self, entity_id: int, label: str, rate: float, controller, sources, schedule
+    ) -> None:
+        """The synthetic driver: arm an entity's first arrival, then each next.
 
-        # Batched reference stream: bit-identical to per-request
-        # next_item() because the items RNG is dedicated per client.
-        items = source.stream()
-        while True:
-            yield self.env.timeout(arrivals.next_gap(arrival_rng))
-            item = next(items)
-            if handle_request is None:
-                handle_request = self.request_handler(client_id, controller)
+        An entity (a client or a client class) is homed here under
+        ``entity_id``; ``label`` names its streams, ``sources`` holds one
+        reference source per item variant of ``schedule``.  Each arrival
+        of :func:`~repro.workload.phases.arrival_times` takes its item
+        from its phase's variant, spawns the request and arms the next
+        arrival: one pending event, no driver process.  Only an entity
+        that arrives in the horizon builds its request handler and item
+        iterators — most clients of a large population never do.
+        """
+        sim = self.sim
+        arrivals = arrival_times(
+            schedule,
+            rate,
+            sim.streams.get(f"{label}/arrivals"),
+            horizon=sim.config.duration,
+        )
+        first = next(arrivals, None)
+        if first is None:
+            return
+        spawn = self.env.process
+        call_at = self.env.call_at
+        handle_request = self.request_handler(entity_id, controller)
+        items = tuple(source.stream() for source in sources)
+        variant_of_phase = schedule.variant_of_phase
+
+        def arrive(event):
             # Open-loop arrivals: requests are spawned, not awaited, so the
             # request rate is unaffected by congestion or prefetching —
             # exactly the paper's §2.1 assumption.
-            self.env.process(handle_request(item))
+            spawn(handle_request(next(items[variant_of_phase[event.value]])))
+            arrival = next(arrivals, None)
+            if arrival is not None:
+                call_at(arrival[0], arrive, arrival[1])
 
-    def phased_client_process(
-        self,
-        client_id: int,
-        controller,
-        *,
-        schedule,
-        item_streams,
-    ):
-        """Phase-aware synthetic driver (``WorkloadSpec.phases`` set).
-
-        Arrivals form a piecewise-homogeneous Poisson process: gaps are
-        drawn from the phase covering the current time, and a draw that
-        would cross the phase boundary is discarded — the driver sleeps
-        to the boundary (a real event on the loop, ``env.at(end)``) and
-        redraws at the new phase's rate, which is exactly correct by
-        memorylessness.  Items come from the arrival phase's item variant
-        (``item_streams`` is one iterator per variant).
-
-        Arrival times accumulate absolutely (``t = t + gap``) and are
-        awaited via ``env.at(t)``; since ``env.now`` at a wake equals the
-        stored heap time exactly, this schedules heap entries bit-equal
-        to :meth:`client_process`'s ``timeout(gap)`` chain.  With a
-        single phase ``locate`` reports ``end = inf`` — no boundary ever
-        fires, and the run is bit-identical to :meth:`client_process`
-        under a pre-scaled rate (pinned by tests).
-        """
-        sim = self.sim
-        spec = sim.config.workload
-        env = self.env
-        phase_arrivals = spec.make_phase_arrivals(schedule, client_id)
-        arrival_rng = sim.streams.get(f"client{client_id}/arrivals")
-        handle_request = None  # built on the first arrival, as in client_process
-        variant_of_phase = schedule.variant_of_phase
-        locate = schedule.locate
-
-        t = env.now
-        while True:
-            idx, end = locate(t)
-            t2 = t + phase_arrivals[idx].next_gap(arrival_rng)
-            if t2 > end:
-                t = end
-                yield env.at(end)
-                continue
-            t = t2
-            yield env.at(t)
-            item = next(item_streams[variant_of_phase[idx]])
-            if handle_request is None:
-                handle_request = self.request_handler(client_id, controller)
-            # Open-loop arrivals, same as client_process.
-            env.process(handle_request(item))
-
-    def class_process(
-        self,
-        rep_id: int,
-        controller,
-        *,
-        phase_arrivals,
-        arrival_rng,
-        item_streams,
-        schedule=None,
-        block: int = 256,
-    ):
-        """Aggregated synthetic driver: one process per client *class*.
-
-        Instead of one generator resume per request, the driver pre-draws
-        a NumPy block of inter-arrival gaps, accumulates them into absolute
-        arrival times and pushes the whole block onto the event heap with
-        the request-spawn callback attached (``env.call_at``); it then
-        sleeps until the block's last arrival and refills.  Per request the
-        loop pays one heap pop + one callback — the driver generator wakes
-        ``1/block`` as often as the per-client driver.
-
-        Equivalence: gaps accumulate sequentially (``t = t + gap``), which
-        reproduces the per-client driver's repeated ``timeout(gap)``
-        schedule bit-exactly, and ``arrivals.gaps(rng, n)`` consumes the
-        RNG bit stream exactly like ``n`` scalar ``next_gap`` calls — so a
-        singleton class is *bit-identical* to :meth:`client_process` (the
-        over-drawn trailing gaps touch a stream nothing else reads).  Items
-        are taken in arrival order, one per in-horizon arrival, same as
-        the per-client driver.
-
-        Phases (``schedule`` set): gaps are drawn at the current phase's
-        class rate (``phase_arrivals``, one per phase) and items from the
-        phase's item variant (``item_streams``, one per variant).  A block
-        that crosses the phase boundary is cut there: arrivals already
-        pushed stay, the rest of the block is discarded, and the driver
-        sleeps to the boundary (``env.at(end)``) before redrawing at the
-        new rate — the memoryless restart of the per-client phased
-        driver, block-sized.  The discarded tail touches only this class's
-        dedicated arrivals stream, so nothing else shifts.  Without phases
-        (``schedule=None``: one arrival process, one item stream), as with
-        a single phase, the one phase never ends and no block is ever cut
-        (pinned bit-identical by tests).
-        """
-        env = self.env
-        handle_request = self.request_handler(rep_id, controller)
-        spawn_process = env.process
-        call_at = env.call_at
-        duration = self.sim.config.duration
-        if schedule is None:
-            locate, variant_of_phase = _stationary, (0,)
-        else:
-            locate, variant_of_phase = schedule.locate, schedule.variant_of_phase
-
-        def dispatch(event):
-            # Open-loop spawn, same as client_process: arrivals are never
-            # delayed by congestion.
-            spawn_process(handle_request(event.value))
-
-        t = env.now
-        while True:
-            idx, end = locate(t)
-            items = item_streams[variant_of_phase[idx]]
-            gaps = phase_arrivals[idx].gaps(arrival_rng, block)
-            last = None
-            crossed = False
-            # tolist(): python floats, same doubles — event times must not
-            # leak numpy scalars into metrics/hashing downstream.
-            for gap in gaps.tolist():
-                t2 = t + gap
-                if t2 > end:
-                    crossed = True
-                    break
-                if t2 > duration:
-                    # Past the horizon: run(until=duration) would never
-                    # process this (or any later) arrival, so stop
-                    # scheduling — the heap stays proportional to one
-                    # block, not to the overdraw.
-                    return
-                t = t2
-                last = call_at(t, dispatch, next(items))
-            if crossed:
-                if end >= duration:
-                    return
-                t = end
-                # Sleep to the boundary: arrivals already scheduled fire
-                # on their own, and the redraw starts in the new phase.
-                yield env.at(end)
-                continue
-            if last is not None:
-                yield last
+        call_at(first[0], arrive, first[1])
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -93,12 +93,10 @@ from repro.sim.parallel import (
     run_node_shards,
 )
 from repro.workload.aggregate import AggregateClassSource, partition_client_classes
-from repro.workload.arrivals import PoissonArrivals
 from repro.workload.markov_source import MarkovChainSource
 from repro.workload.phases import PhasedSourceView
 from repro.workload.replay import TraceReplaySource
 from repro.workload.sessions import entity_stream_names
-from repro.workload.zipf import shared_catalog
 
 __all__ = ["Simulation", "run_simulation", "SimulationOutput", "ProxyShardStats"]
 
@@ -602,30 +600,6 @@ class Simulation:
             return None
         return self.streams.get(f"{label}/evictions")
 
-    def _derive_entity_streams(self, labels: list[str], schedule) -> None:
-        """Derive the streams of every entity this build realises, at once.
-
-        The names are exactly those the build loop and each driver's first
-        resume read (:func:`entity_stream_names`), so the batch creates
-        only streams the run would create anyway.  Below the batch
-        crossover this does nothing and each stream is derived on first
-        use.
-        """
-        self.streams.derive(
-            entity_stream_names(
-                labels,
-                schedule,
-                arrivals=self.replay is None,
-                evictions=self.config.cache_policy.lower() == "random",
-            )
-        )
-
-    def _start_warmup(self) -> None:
-        """Start the warm-up boundary process of every node this build owns."""
-        for node in self.nodes:
-            if self._owns_node(node.node_id):
-                self.env.process(node.collector.warmup_process())
-
     def _node_rates(self, schedule, rates) -> list[float]:
         """Offered request rate per node, the load a policy plans against.
 
@@ -634,13 +608,13 @@ class Simulation:
         its rho estimate num_proxies-fold.  One proxy keeps the spec's
         exact aggregate (seed bit-identity); otherwise ``rates``, the
         ``(node id, rate)`` pairs of every entity in build order, are
-        summed per node — for singleton classes the per-client loop's
+        summed per node — for singleton classes the per-client
         float-summation order.  Under phases the planner sees the
-        *time-averaged* offered load (single-phase: exactly the
-        multiplied rate).
+        *time-averaged* offered load (a stationary spec: exactly its
+        rate).
         """
         topo = self.config.topology
-        avg_mult = 1.0 if schedule is None else schedule.average_multiplier()
+        avg_mult = schedule.average_multiplier()
         if topo.num_proxies == 1:
             return [self.config.workload.request_rate * avg_mult]
         node_rates = [0.0] * topo.num_proxies
@@ -690,163 +664,110 @@ class Simulation:
         return controller
 
     def _build_clients(self) -> None:
-        config = self.config
-        if config.client_backend == "aggregated":
-            self._build_aggregated()
-            return
-        topo = config.topology
-        spec = config.workload
-        handlers: dict[int, object] = {}
-        # Piecewise-stationary time structure (None = the stationary code
-        # path, untouched by the phases feature).
-        schedule = spec.make_schedule()
-        self._start_warmup()
-        node_rates = self._node_rates(
-            schedule,
-            ((topo.home_of(c), spec.rate_of(c)) for c in range(self.num_clients)),
-        )
-        self._derive_entity_streams(
-            [
-                f"client{c}"
-                for c in range(self.num_clients)
-                if self._owns_node(topo.home_of(c))
-            ],
-            schedule,
-        )
-        for c in range(self.num_clients):
-            node = self.nodes[topo.home_of(c)]
-            if not self._owns_node(node.node_id):
-                continue
-            if schedule is None:
-                source = spec.make_source(c, self.streams)
-                phase_sources = None
-            else:
-                # One source per item variant; the predictor sees a
-                # clock-aware view that delegates to the active variant.
-                phase_sources = spec.make_phase_sources(c, self.streams, schedule)
-                source = PhasedSourceView(
-                    phase_sources, schedule, lambda: self.env.now
-                )
-            controller = self._attach_entity(
-                node, c, f"client{c}", source, node_rates[node.node_id]
-            )
-            if self.replay is not None:
-                handlers[c] = node.request_handler(c, controller)
-            elif schedule is None:
-                self.env.process(node.client_process(c, source, controller))
-            else:
-                self.env.process(
-                    node.phased_client_process(
-                        c,
-                        controller,
-                        schedule=schedule,
-                        item_streams=tuple(s.stream() for s in phase_sources),
-                    )
-                )
-        if self.replay is not None:
-            self.env.process(self._trace_driver(handlers))
+        """Build every entity this run realises, then arm its arrivals.
 
-    def _build_aggregated(self) -> None:
-        """Aggregated backend: one controller/cache/driver per client *class*.
-
-        Mirrors ``_build_clients`` structurally — warmup processes first,
-        then the per-entity build loop in ascending id order — but iterates
-        over the homogeneous classes of :func:`partition_client_classes`
-        instead of individual clients.  A class is *attached to its node
-        under its representative's client id* (lowest member), so routing,
-        fetch tables and shard accounting are untouched; singleton classes
-        reuse the per-client RNG stream names and draw order, which makes
-        them bit-identical to the per-client backend (pinned by tests).
+        An entity is a client (per-client backend) or a homogeneous client
+        class (:func:`partition_client_classes`), attached to its node
+        under its representative's (lowest member's) id.  A one-member
+        entity is built exactly like a client, so a singleton class is
+        bit-identical to the per-client backend (pinned by tests).
         """
-        spec = self.config.workload
+        config = self.config
+        spec = config.workload
+        topo = config.topology
+        streams = self.streams
         schedule = spec.make_schedule()
-        self._start_warmup()
-        classes = partition_client_classes(spec, self.config.topology)
-        # A shard worker keeps only its nodes' classes in the aligned
-        # clients/_caches/client_classes lists; the *full* class list still
-        # feeds the node-rate arithmetic so policies see the same floats as
-        # a serial build.
-        self.client_classes = [
-            cls for cls in classes if self._owns_node(cls.node_id)
-        ]
-        self._derive_entity_streams(
-            [cls.stream_label for cls in self.client_classes], schedule
+        for node in self.nodes:
+            if self._owns_node(node.node_id):
+                self.env.process(node.collector.warmup_process())
+        if config.client_backend == "aggregated":
+            classes = partition_client_classes(spec, topo)
+            # A shard worker keeps only its nodes' classes in the aligned
+            # clients/_caches/client_classes lists; the *full* class list
+            # still feeds the node-rate arithmetic so policies see the
+            # same floats as a serial build.
+            self.client_classes = [
+                cls for cls in classes if self._owns_node(cls.node_id)
+            ]
+            entities = [
+                (cls.node_id, cls.representative, cls.stream_label, cls)
+                for cls in self.client_classes
+            ]
+            rates = ((cls.node_id, cls.request_rate) for cls in classes)
+        else:
+            n = self.num_clients
+            entities = [
+                (home, c, f"client{c}", None)
+                for c, home in enumerate(map(topo.home_of, range(n)))
+                if self._owns_node(home)
+            ]
+            rates = ((topo.home_of(c), spec.rate_of(c)) for c in range(n))
+        node_rates = self._node_rates(schedule, rates)
+        # Derive every stream the loop below and the arming read, at once
+        # (below the batch crossover each is derived on first use).
+        streams.derive(
+            entity_stream_names(
+                [label for _, _, label, _ in entities],
+                schedule,
+                arrivals=self.replay is None,
+                evictions=config.cache_policy.lower() == "random",
+            )
         )
-        node_rates = self._node_rates(
-            schedule, ((cls.node_id, cls.request_rate) for cls in classes)
-        )
-        for cls in self.client_classes:
-            node = self.nodes[cls.node_id]
-            rep = cls.representative
-            label = cls.stream_label
-            if cls.singleton:
-                # One member: the exact per-client machinery (and RNG
-                # streams — label == f"client{rep}").
-                if schedule is None:
-                    source = spec.make_source(rep, self.streams)
-                    phase_sources = (source,)
-                    phase_arrivals = (spec.make_arrivals(rep),)
-                else:
-                    phase_sources = spec.make_phase_sources(
-                        rep, self.streams, schedule
-                    )
-                    phase_arrivals = spec.make_phase_arrivals(schedule, rep)
-                    source = PhasedSourceView(
-                        phase_sources, schedule, lambda: self.env.now
-                    )
+        handlers: dict[int, object] = {}
+        armed = []
+        for node_id, rep, label, cls in entities:
+            node = self.nodes[node_id]
+            if cls is None or cls.singleton:
+                sources = spec.make_phase_sources(rep, streams, schedule)
+                rate = spec.rate_of(rep)
             else:
                 # Poisson superposition: k members at rate λ merge into
-                # one Poisson(kλ) arrival process; the merged reference
-                # stream comes from the class source.
-                if schedule is None:
-                    source = AggregateClassSource(
-                        shared_catalog(cls.catalog_size, cls.zipf_exponent),
+                # one Poisson(kλ) arrival process, and one merged source
+                # per item variant gives the class's references.
+                # Per-member chain state is per variant — acceptable,
+                # since multi-member item aggregation is already
+                # approximate for q > 0.
+                catalogs = schedule.variant_catalogs(
+                    catalog_size=cls.catalog_size,
+                    zipf_exponent=cls.zipf_exponent,
+                )
+                sources = tuple(
+                    AggregateClassSource(
+                        catalog,
                         num_members=cls.size,
                         follow_probability=cls.follow_probability,
-                        rng=self.streams.get(f"{label}/items"),
+                        rng=streams.get(name),
                     )
-                    phase_sources = (source,)
-                    phase_arrivals = (PoissonArrivals(cls.request_rate),)
-                else:
-                    # One merged source per item variant, each with its
-                    # own dedicated RNG stream (base variant keeps the
-                    # unphased name).  Per-member chain state is per
-                    # variant — acceptable, since multi-member item
-                    # aggregation is already approximate for q > 0.
-                    catalogs = schedule.variant_catalogs(
-                        catalog_size=cls.catalog_size,
-                        zipf_exponent=cls.zipf_exponent,
+                    for catalog, name in zip(
+                        catalogs, schedule.stream_names(f"{label}/items")
                     )
-                    names = schedule.stream_names(f"{label}/items")
-                    phase_sources = tuple(
-                        AggregateClassSource(
-                            catalog,
-                            num_members=cls.size,
-                            follow_probability=cls.follow_probability,
-                            rng=self.streams.get(name),
-                        )
-                        for catalog, name in zip(catalogs, names)
-                    )
-                    phase_arrivals = tuple(
-                        PoissonArrivals(cls.request_rate * m)
-                        for m in schedule.multipliers
-                    )
-                    source = PhasedSourceView(
-                        phase_sources, schedule, lambda: self.env.now
-                    )
-            controller = self._attach_entity(
-                node, rep, label, source, node_rates[node.node_id]
-            )
-            self.env.process(
-                node.class_process(
-                    rep,
-                    controller,
-                    phase_arrivals=phase_arrivals,
-                    arrival_rng=self.streams.get(f"{label}/arrivals"),
-                    item_streams=tuple(s.stream() for s in phase_sources),
-                    schedule=schedule,
                 )
+                rate = cls.request_rate
+            # The predictor sees one source, or a clock-aware view that
+            # delegates to the active item variant.
+            source = (
+                sources[0]
+                if len(sources) == 1
+                else PhasedSourceView(sources, schedule, lambda: self.env.now)
             )
+            controller = self._attach_entity(
+                node, rep, label, source, node_rates[node_id]
+            )
+            if self.replay is not None:
+                handlers[rep] = node.request_handler(rep, controller)
+            else:
+                armed.append((node, rep, label, rate, controller, sources))
+        if self.replay is not None:
+            self.env.process(self._trace_driver(handlers))
+            return
+
+        def arm(event):
+            # One event at t = 0 arms every entity in build order, so the
+            # first draws happen in the run.
+            for node, rep, label, rate, controller, sources in armed:
+                node.start_arrivals(rep, label, rate, controller, sources, schedule)
+
+        self.env.call_at(0.0, arm)
 
     def _trace_driver(self, handlers):
         """Replay driver: one process walking the merged trace in recorded

@@ -121,7 +121,11 @@ __all__ = [
 #: v10: virtual-time processor-sharing link: completion times move in
 #:     their last digits (≤ 1e-13 relative, counts unchanged), so a v9
 #:     entry is no longer what a fresh run reproduces bit for bit.
-CACHE_SCHEMA_VERSION = 10
+#: v11: one arrival law for clients and classes: at a phase boundary a
+#:     multi-member class drops only the one gap that crosses it (it
+#:     used to drop the rest of a pre-drawn 256-gap block), as a client
+#:     does — so a phased multi-member run reproduces no v10 entry.
+CACHE_SCHEMA_VERSION = 11
 
 
 # ----------------------------------------------------------------------

@@ -1,13 +1,13 @@
 """Client-class aggregation: homogeneous clients collapsed into one flow.
 
-A per-client simulation pays one generator process, one RNG stream pair and
-one controller per client, which caps ``num_clients`` in the low thousands.
+A per-client simulation pays one controller, one cache and one RNG stream
+pair per client, which caps ``num_clients`` in the low thousands.
 But the paper's population is *statistically homogeneous*: every client
 behind a proxy draws from the same catalogue at the same rate.  The merged
 request stream of ``k`` such clients has a closed form — the superposition
 of ``k`` independent Poisson(λ) processes is Poisson(kλ), with each arrival
 belonging to a uniformly-random member — so the whole class can be driven
-by **one** batched arrival process without changing the law of the stream.
+by **one** arrival process without changing the law of the stream.
 
 :func:`partition_client_classes` groups a :class:`~repro.workload.sessions.
 WorkloadSpec`'s population into maximal homogeneous classes (same home
@@ -18,9 +18,9 @@ multi-member class in vectorized NumPy blocks.
 
 Exactness
 ---------
-* **Arrivals** are exact: Poisson superposition, gaps pre-drawn in blocks
-  (``rng.exponential(size=n)`` consumes the bit stream exactly like ``n``
-  scalar draws).
+* **Arrivals** are exact: Poisson superposition.  A class draws them
+  from :func:`~repro.workload.phases.arrival_times` at its aggregate
+  rate — the law, and the boundary rule, every client follows.
 * **Items** are exact *in distribution* for any follow probability ``q``:
   each arrival picks a uniform member, then advances that member's own
   Markov chain — the same joint law as ``k`` independent per-client chains
@@ -35,10 +35,11 @@ Exactness
   state couples members through the cache and the equivalence is
   approximate (the equivalence pins therefore use ``q = 0`` for
   multi-member classes).
-* **Singleton classes** reuse the per-client RNG stream names and draw
-  order, so they are *bit-identical* to the per-client backend — this is
-  what lets heterogeneous populations (every client overridden) run under
-  the aggregated backend with zero behavioural drift.
+* **Singleton classes** are built exactly like clients (same RNG stream
+  names, sources and draw order), so they are *bit-identical* to the
+  per-client backend, stationary or phased — this is what lets
+  heterogeneous populations (every client overridden) run under the
+  aggregated backend with zero behavioural drift.
 """
 
 from __future__ import annotations

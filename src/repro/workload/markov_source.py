@@ -149,7 +149,7 @@ class MarkovChainSource:
         """Endless item iterator over vectorized generation blocks.
 
         The consumers that draw one item at a time (the live simulation's
-        client processes, trace generation) iterate this instead of calling
+        arrival driver, trace generation) iterate this instead of calling
         :meth:`next_item` per request: the source's RNG stream is dedicated,
         so pre-generating items consumes it exactly as per-draw calls
         would, and trailing unconsumed items at the end of a run touch

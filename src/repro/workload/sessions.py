@@ -29,7 +29,7 @@ from repro.des.rng import RandomStreams
 from repro.errors import ConfigurationError
 from repro.workload.arrivals import ArrivalProcess, PoissonArrivals
 from repro.workload.markov_source import MarkovChainSource
-from repro.workload.phases import PhaseSchedule, PhaseSpec, phased_next_arrival
+from repro.workload.phases import STATIONARY, PhaseSchedule, PhaseSpec, arrival_times
 from repro.workload.sizes import FixedSize, SizeDistribution
 from repro.workload.trace import TraceRecord
 from repro.workload.zipf import ZipfCatalog, shared_catalog
@@ -79,9 +79,10 @@ class WorkloadSpec:
         its fields) repeated cyclically for the whole run.  Each phase
         scales every client's arrival rate by its ``rate_multiplier`` and
         may reshape the reference stream (``zipf_exponent`` override,
-        ``popularity_shift`` rotation).  ``None`` (the default) keeps
-        every driver on its stationary code path, bit-identical to a spec
-        predating the feature.
+        ``popularity_shift`` rotation).  ``None`` (the default) is a
+        stationary spec, run as one neutral phase
+        (:data:`~repro.workload.phases.STATIONARY`): its draws are those
+        of a spec predating the feature.
     """
 
     num_clients: int = 4
@@ -160,11 +161,11 @@ class WorkloadSpec:
                 )
             self.phases = entries
 
-    def make_schedule(self) -> PhaseSchedule | None:
-        """Resolved :class:`~repro.workload.phases.PhaseSchedule` (or
-        ``None`` for a stationary spec)."""
+    def make_schedule(self) -> PhaseSchedule:
+        """Resolved :class:`~repro.workload.phases.PhaseSchedule`
+        (:data:`~repro.workload.phases.STATIONARY` for a stationary spec)."""
         if self.phases is None:
-            return None
+            return STATIONARY
         return PhaseSchedule(self.phases)
 
     @property
@@ -210,7 +211,7 @@ class WorkloadSpec:
         )
 
     # ------------------------------------------------------------------
-    # Phased builders (phases is not None)
+    # Per-phase builders
     # ------------------------------------------------------------------
     def make_phase_arrivals(
         self, schedule: PhaseSchedule, client: int | None = None
@@ -226,9 +227,12 @@ class WorkloadSpec:
 
         The base variant keeps the unphased stream name
         (``client<c>/items``) and the workload's own catalogue, so a
-        schedule that never reshapes items draws exactly what the
-        stationary path would.
+        schedule that never reshapes items draws exactly what a
+        stationary spec draws — its one source is :meth:`make_source`'s,
+        built at that method's cost.
         """
+        if schedule.variant_keys == STATIONARY.variant_keys:
+            return (self.make_source(client, streams),)
         catalogs = schedule.variant_catalogs(
             catalog_size=int(self.client_param(client, "catalog_size")),
             zipf_exponent=float(self.client_param(client, "zipf_exponent")),
@@ -245,7 +249,7 @@ class WorkloadSpec:
 
 def entity_stream_names(
     labels: Sequence[str],
-    schedule: PhaseSchedule | None,
+    schedule: PhaseSchedule,
     *,
     arrivals: bool = True,
     evictions: bool = False,
@@ -253,24 +257,19 @@ def entity_stream_names(
     """Every per-entity RNG stream name a build reads for ``labels``.
 
     An entity is a client (``client<c>``) or a client class (its
-    ``stream_label``).  Each reads its item stream — one per item variant
-    under phases — and, unless a trace drives it, its arrival stream; the
+    ``stream_label``).  Each reads one item stream per item variant of
+    ``schedule`` and, unless a trace drives it, its arrival stream; the
     ``random`` cache policy adds an eviction stream.  Builds pass this
     list to :meth:`RandomStreams.derive`.  A new per-entity stream must be
     listed here as well: one that is not still gets the right state from
     ``RandomStreams.get``, one derivation at a time.
     """
-    names: list[str] = []
-    for label in labels:
-        if schedule is None:
-            names.append(f"{label}/items")
-        else:
-            names.extend(schedule.stream_names(f"{label}/items"))
-        if arrivals:
-            names.append(f"{label}/arrivals")
-        if evictions:
-            names.append(f"{label}/evictions")
-    return names
+    suffixes = list(schedule.stream_names("/items"))
+    if arrivals:
+        suffixes.append("/arrivals")
+    if evictions:
+        suffixes.append("/evictions")
+    return [label + suffix for label in labels for suffix in suffixes]
 
 
 def generate_trace(
@@ -283,87 +282,43 @@ def generate_trace(
 
     Clients are simulated independently and their request streams merged by
     timestamp (a k-way heap merge, so memory stays linear in the output).
+    Arrivals follow :func:`~repro.workload.phases.arrival_times`, as in the
+    live simulation; each item comes from the arrival phase's item variant,
+    pre-generated in blocks from a dedicated per-client stream.
     """
     if duration <= 0:
         raise ConfigurationError(f"duration must be > 0, got {duration!r}")
     schedule = spec.make_schedule()
-    if schedule is not None:
-        return _generate_phased_trace(
-            spec, schedule, duration=duration, seed=seed
-        )
-    streams = RandomStreams(seed)
-    streams.derive(
-        entity_stream_names([f"client{c}" for c in range(spec.num_clients)], None)
-    )
-    sizes = spec.make_sizes()
-    size_rng = streams.get("sizes")
-    heap: list[tuple[float, int]] = []
-    # Per-client arrival processes (override-aware; identical draws to one
-    # shared process for homogeneous specs, since the rngs are per client).
-    arrivals = {c: spec.make_arrivals(c) for c in range(spec.num_clients)}
-    arrival_rngs = {c: streams.get(f"client{c}/arrivals") for c in range(spec.num_clients)}
-    sources = {c: spec.make_source(c, streams) for c in range(spec.num_clients)}
-    # Per-client items come from dedicated RNG streams, so each client's
-    # reference stream is pre-generated in vectorized blocks (bit-identical
-    # to per-record next_item(); trailing unused draws touch nothing else).
-    item_streams = {c: sources[c].stream() for c in range(spec.num_clients)}
-    for c in range(spec.num_clients):
-        t = arrivals[c].next_gap(arrival_rngs[c])
-        if t <= duration:
-            heapq.heappush(heap, (t, c))
-    records: list[TraceRecord] = []
-    while heap:
-        t, c = heapq.heappop(heap)
-        records.append(
-            TraceRecord(
-                time=t,
-                client=c,
-                item=next(item_streams[c]),
-                size=float(sizes.sample(size_rng)),
-            )
-        )
-        t_next = t + arrivals[c].next_gap(arrival_rngs[c])
-        if t_next <= duration:
-            heapq.heappush(heap, (t_next, c))
-    return records
-
-
-def _generate_phased_trace(
-    spec: WorkloadSpec,
-    schedule: PhaseSchedule,
-    *,
-    duration: float,
-    seed: int,
-) -> list[TraceRecord]:
-    """Phased variant of :func:`generate_trace` (same merge structure).
-
-    Arrivals walk the piecewise-homogeneous Poisson process per client
-    (:func:`~repro.workload.phases.phased_next_arrival`); items come from
-    the phase's item variant.  With a single neutral phase every draw —
-    gaps, items, sizes — hits the same streams in the same order as the
-    stationary path, so the output is identical (pinned by tests).
-    """
-    streams = RandomStreams(seed)
-    streams.derive(
-        entity_stream_names([f"client{c}" for c in range(spec.num_clients)], schedule)
-    )
-    sizes = spec.make_sizes()
-    size_rng = streams.get("sizes")
     n = spec.num_clients
-    arrivals = {c: spec.make_phase_arrivals(schedule, c) for c in range(n)}
-    arrival_rngs = {c: streams.get(f"client{c}/arrivals") for c in range(n)}
-    sources = {c: spec.make_phase_sources(c, streams, schedule) for c in range(n)}
-    item_streams = {
-        c: tuple(source.stream() for source in sources[c]) for c in range(n)
-    }
+    streams = RandomStreams(seed)
+    streams.derive(entity_stream_names([f"client{c}" for c in range(n)], schedule))
+    sizes = spec.make_sizes()
+    size_rng = streams.get("sizes")
     variant_of_phase = schedule.variant_of_phase
-    # Heap entries carry the arrival's phase so the item draw uses the
-    # variant active when the request fires, not when it was scheduled.
+    arrivals = [
+        arrival_times(
+            schedule,
+            spec.rate_of(c),
+            streams.get(f"client{c}/arrivals"),
+            horizon=duration,
+        )
+        for c in range(n)
+    ]
+    item_streams = [
+        tuple(s.stream() for s in spec.make_phase_sources(c, streams, schedule))
+        for c in range(n)
+    ]
+    # Heap entries carry the arrival's phase, so the item comes from the
+    # variant active when the request fires.
     heap: list[tuple[float, int, int]] = []
+
+    def push_next(c: int) -> None:
+        arrival = next(arrivals[c], None)
+        if arrival is not None:
+            heapq.heappush(heap, (arrival[0], c, arrival[1]))
+
     for c in range(n):
-        t, idx = phased_next_arrival(0.0, schedule, arrivals[c], arrival_rngs[c])
-        if t <= duration:
-            heapq.heappush(heap, (t, c, idx))
+        push_next(c)
     records: list[TraceRecord] = []
     while heap:
         t, c, idx = heapq.heappop(heap)
@@ -375,9 +330,5 @@ def _generate_phased_trace(
                 size=float(sizes.sample(size_rng)),
             )
         )
-        t_next, idx_next = phased_next_arrival(
-            t, schedule, arrivals[c], arrival_rngs[c]
-        )
-        if t_next <= duration:
-            heapq.heappush(heap, (t_next, c, idx_next))
+        push_next(c)
     return records

@@ -29,6 +29,7 @@ from repro.workload.aggregate import (
     AggregateClassSource,
     partition_client_classes,
 )
+from repro.workload.phases import PhaseSpec
 from repro.workload.sessions import WorkloadSpec
 from repro.workload.zipf import ZipfCatalog, shared_catalog
 
@@ -282,6 +283,38 @@ class TestSingletonBitIdentity:
         assert [c.requests for c in agg.controller_stats] == [
             c.requests for c in per.controller_stats
         ]
+
+    def test_phased_singletons_match_per_client(self):
+        # Two phases: a rate change and an item variant (a shifted
+        # catalogue).  A singleton class drops exactly the one gap that
+        # crosses a phase boundary, as a client does, so the phased
+        # aggregated run is bit-identical to the per-client one too.
+        overrides = {c: {"request_rate": 5.0 + 0.5 * c} for c in range(6)}
+        spec = WorkloadSpec(
+            num_clients=6,
+            request_rate=30.0,
+            client_overrides=overrides,
+            phases=(
+                PhaseSpec(duration=20.0),
+                PhaseSpec(duration=15.0, rate_multiplier=2.5, popularity_shift=40),
+            ),
+        )
+        base = SimulationConfig(
+            workload=spec,
+            policy="threshold-dynamic",
+            duration=90.0,
+            warmup=10.0,
+            seed=13,
+        )
+        agg = run_simulation(replace(base, client_backend="aggregated"))
+        per = run_simulation(base)
+        assert_metrics_identical(agg.metrics, per.metrics)
+        assert agg.link_demand_fetches == per.link_demand_fetches
+        assert agg.link_prefetch_bytes == per.link_prefetch_bytes
+        assert [c.requests for c in agg.controller_stats] == [
+            c.requests for c in per.controller_stats
+        ]
+        assert agg.kpis.access_p95 == per.kpis.access_p95
 
     def test_singleton_identity_across_topology_shards(self):
         overrides = {c: {"request_rate": 4.0 + c} for c in range(5)}

@@ -2,9 +2,9 @@
 
 The load-bearing guarantees:
 
-* ``phases=None`` runs the exact stationary code path — and a *neutral*
-  single phase (multiplier 1, no item overrides) is bit-identical to it
-  on both client backends;
+* a stationary spec (``phases=None``) runs as one neutral phase,
+  ``STATIONARY`` — and an explicit neutral single phase (multiplier 1,
+  no item overrides) is bit-identical to it on both client backends;
 * a single phase with ``rate_multiplier=m`` is bit-identical to a
   stationary spec whose ``request_rate`` is scaled by ``m`` (the
   memoryless pin: one Exp(1/(mλ)) stream, same RNG draws);
@@ -16,9 +16,12 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.experiments.scenario import STATIONARY_SUFFIX, ScenarioExperiment
 from repro.sim.config import SimulationConfig
 from repro.sim.simulation import run_simulation
+from repro.sim.sweep import SweepPoint
 from repro.workload.phases import (
+    STATIONARY,
     PhaseSchedule,
     PhaseSpec,
     ShiftedCatalog,
@@ -154,6 +157,15 @@ class TestPhaseSchedule:
         assert idx == 0
         assert end == float("inf")
 
+    def test_stationary_spec_is_one_neutral_phase(self):
+        schedule = WorkloadSpec().make_schedule()
+        assert schedule is STATIONARY
+        assert schedule.multipliers == (1.0,)
+        assert schedule.variant_keys == ((None, 0),)
+        assert schedule.locate(1e9) == (0, float("inf"))
+        # Finite duration: an endless phase would average inf / inf.
+        assert schedule.average_multiplier() == 1.0
+
     def test_average_multiplier_is_duration_weighted(self):
         schedule = PhaseSchedule(
             (
@@ -177,6 +189,23 @@ class TestPhaseSchedule:
         names = schedule.stream_names("client0/items")
         assert names[0] == "client0/items"  # base variant keeps the old name
         assert "phase-variant" in names[1]
+
+
+class TestStationaryTwin:
+    def test_twin_flattens_phases_to_their_average_rate(self):
+        phases = (
+            PhaseSpec(duration=30.0, rate_multiplier=1.0),
+            PhaseSpec(duration=10.0, rate_multiplier=5.0),
+        )
+        point = SweepPoint(key="p", config=make_config(phases))
+        twin = ScenarioExperiment._stationary_twin(point)
+        assert twin.key == "p" + STATIONARY_SUFFIX
+        assert twin.config.workload.phases is None
+        assert twin.config.workload.request_rate == pytest.approx(24.0 * 2.0)
+
+    def test_stationary_point_has_no_twin(self):
+        point = SweepPoint(key="p", config=make_config(None))
+        assert ScenarioExperiment._stationary_twin(point) is None
 
 
 class TestPhaseSpecValidation:
