@@ -79,6 +79,11 @@ class RandomStreams:
             )
         return stream
 
+    def pop(self, name: str) -> np.random.Generator | None:
+        """Drop ``name``'s generator from the registry; return it (None if
+        absent).  A later ``get(name)`` derives it afresh."""
+        return self._streams.pop(name, None)
+
     def derive(self, names: Sequence[str]) -> None:
         """Create the generators for ``names`` now, in one vectorized pass.
 

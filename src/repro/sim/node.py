@@ -3,8 +3,8 @@
 This module is the node layer of the simulation: one :class:`ProxyNode`
 per proxy in the :class:`~repro.network.topology.TopologyConfig`, each
 owning its uplink (:class:`~repro.network.link.SharedLink`), an origin
-*view* onto the shared catalogue, the caches/controllers of the clients
-homed at it, a metrics shard, and — per client — a :class:`FetchTable`.
+*view* onto the shared catalogue, the caches of the clients homed at
+it, a metrics shard, and — per client — a :class:`FetchTable`.
 
 The fetch table is the fix for a whole bug class (ROADMAP: "demand fetches
 are invisible to the controller's in-flight set").  Before it, only
@@ -41,6 +41,8 @@ Arrivals reach the request path through one synthetic driver,
 :meth:`ProxyNode.start_arrivals`, for every entity: a client is a
 one-member client class, and a stationary workload is one neutral phase.
 Trace replay runs through one merged ``Simulation``-level driver instead.
+An entity that never arrives in the horizon may be homed *idle*
+(:meth:`ProxyNode.attach_idle`): its id and zero stats rows, nothing else.
 """
 
 from __future__ import annotations
@@ -52,10 +54,8 @@ from repro.des.events import Event
 from repro.errors import NodeFailure, SimulationError
 from repro.network.link import SharedLink
 from repro.sim.metrics import MetricsCollector
-from repro.workload.phases import arrival_times
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (sim builds nodes)
-    from repro.prefetch.controller import PrefetchController
     from repro.sim.simulation import Simulation
 
 __all__ = ["FetchTable", "FetchTableStats", "PendingFetch", "ProxyNode"]
@@ -218,7 +218,9 @@ class ProxyNode:
     * ``collector`` — this node's metrics shard (requests of homed
       clients, including their remote-probe outcomes; utilisation of this
       node's uplink);
-    * per homed client: cache, controller and a :class:`FetchTable`.
+    * per built client: its cache and a :class:`FetchTable`;
+    * ``clients``, every homed entity with idle ones included, aligned
+      with its output rows ``cache_stats`` and ``controller_stats``.
     """
 
     def __init__(
@@ -247,7 +249,8 @@ class ProxyNode:
         #: the orchestrator right after it builds the authoritative origin)
         self.origin = None
         self.clients: list[int] = []
-        self.controllers: list["PrefetchController"] = []
+        self.cache_stats: list = []
+        self.controller_stats: list = []
         self.caches: list = []
         self.fetch_tables: dict[int, FetchTable] = {}
         #: this node's load estimate for its clients' planners, bound once
@@ -278,10 +281,18 @@ class ProxyNode:
         self._assert_shard_local(f"attach_client({client_id})")
         table = FetchTable(self.env)
         self.clients.append(client_id)
-        self.controllers.append(controller)
+        self.cache_stats.append(cache.stats)
+        self.controller_stats.append(controller.stats)
         self.caches.append(cache)
         self.fetch_tables[client_id] = table
         return table
+
+    def attach_idle(self, client_id: int, cache_stats, controller_stats) -> None:
+        """Home an entity that never arrives: its id and (zero) stats rows."""
+        self._assert_shard_local(f"attach_idle({client_id})")
+        self.clients.append(client_id)
+        self.cache_stats.append(cache_stats)
+        self.controller_stats.append(controller_stats)
 
     # ------------------------------------------------------------------
     def drain(self, exc: NodeFailure | None = None) -> int:
@@ -534,27 +545,20 @@ class ProxyNode:
     # Simulation-level driver instead: recorded order IS time order)
     # ------------------------------------------------------------------
     def start_arrivals(
-        self, entity_id: int, label: str, rate: float, controller, sources, schedule
+        self, entity_id: int, controller, sources, schedule, arrivals, first
     ) -> None:
         """The synthetic driver: arm an entity's first arrival, then each next.
 
         An entity (a client or a client class) is homed here under
-        ``entity_id``; ``label`` names its streams, ``sources`` holds one
-        reference source per item variant of ``schedule``.  Each arrival
-        of :func:`~repro.workload.phases.arrival_times` takes its item
-        from its phase's variant, spawns the request and arms the next
-        arrival: one pending event, no driver process.  Only an entity
-        that arrives in the horizon builds its request handler and item
-        iterators — most clients of a large population never do.
+        ``entity_id``; ``sources`` holds one reference source per item
+        variant of ``schedule``.  ``first`` is the first ``(time, phase
+        index)`` of the entity's :func:`~repro.workload.phases.arrival_times`
+        iterator ``arrivals``, or None when it has none in the horizon.
+        Each arrival takes its item from its phase's variant, spawns the
+        request and arms the next arrival: one pending event, no driver
+        process.  Only an entity that arrives builds its request handler
+        and item iterators.
         """
-        sim = self.sim
-        arrivals = arrival_times(
-            schedule,
-            rate,
-            sim.streams.get(f"{label}/arrivals"),
-            horizon=sim.config.duration,
-        )
-        first = next(arrivals, None)
         if first is None:
             return
         spawn = self.env.process

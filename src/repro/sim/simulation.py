@@ -49,6 +49,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Hashable, Iterator, Sequence
 
+from repro.cache.base import CacheStats
 from repro.cache.interaction import make_cache
 from repro.core.parameters import SystemParameters
 from repro.des.environment import Environment
@@ -75,6 +76,7 @@ from repro.prefetch import (
     StaticThresholdPolicy,
     TopKPolicy,
 )
+from repro.prefetch.controller import ControllerStats
 from repro.sim.config import SimulationConfig
 from repro.sim.faults import FaultRuntime
 from repro.sim.kpis import RunKPIs
@@ -94,11 +96,29 @@ from repro.sim.parallel import (
 )
 from repro.workload.aggregate import AggregateClassSource, partition_client_classes
 from repro.workload.markov_source import MarkovChainSource
-from repro.workload.phases import PhasedSourceView
+from repro.workload.phases import PhasedSourceView, arrival_times
 from repro.workload.replay import TraceReplaySource
 from repro.workload.sessions import entity_stream_names
 
 __all__ = ["Simulation", "run_simulation", "SimulationOutput", "ProxyShardStats"]
+
+#: Expected arrivals in the horizon (rate × mean phase multiplier ×
+#: duration) below which a synthetic entity is *screened*: its first
+#: arrival is drawn at build time, and an entity with none in the horizon
+#: is homed idle instead of built.  Cost model, measured on a 2-vCPU
+#: x86-64 host (Python 3.11): screening moves an entity's arrival-stream
+#: derivation and first draw from the run into the build, about 8 µs per
+#: entity in a batched derivation and 25 µs below the batch crossover
+#: (mostly SeedSequence).  It pays back only when the entity turns out
+#: idle, with probability exp(-expected arrivals), above 0.37 here: an
+#: idle entity skips a stack of about 33 µs and 5.2 KB.  Screening busy
+#: entities would only move their first draws into the set-up.  The
+#: constant decides only *when* a first draw happens: no output depends
+#: on it.
+SCREEN_BELOW_ARRIVALS = 1.0
+
+#: ``_build_clients``' mark of a screened entity that never arrives
+_IDLE = ()
 
 
 @contextmanager
@@ -379,10 +399,12 @@ class Simulation:
         #: installed after the client build so its routing rebinds wrap
         #: the fully-resolved closures.
         self.fault_runtime = None
+        #: controllers and caches of the built entities, in build order
+        #: (idle entities have none)
         self.clients: list[PrefetchController] = []
         self._caches = []
-        #: homogeneous classes of an aggregated-backend run, aligned
-        #: index-for-index with ``clients``/``_caches`` (empty per-client)
+        #: homogeneous classes of an aggregated-backend run, in build
+        #: order, idle classes included (empty per-client)
         self.client_classes = []
         if self.only_nodes is None and self._resolve_node_backend() == "parallel":
             plan = plan_node_partition(config)
@@ -663,6 +685,30 @@ class Simulation:
         self._caches.append(cache)
         return controller
 
+    def _screens(self) -> bool:
+        """Whether this build screens its sparse entities.
+
+        Trace replay builds every client: its merged driver needs a
+        handler per client.  Cooperative migration builds every entity
+        too: ``FaultRuntime._admit_migrated`` admits items into every
+        cache homed at a node, idle entities' included.
+        """
+        faults = self.config.faults
+        return self.replay is None and not (
+            faults and faults.migration == "cooperative"
+        )
+
+    def _first_arrival(self, schedule, label: str, rate: float):
+        """An entity's ``arrival_times`` iterator and its first arrival
+        (None when it has none in the horizon)."""
+        arrivals = arrival_times(
+            schedule,
+            rate,
+            self.streams.get(f"{label}/arrivals"),
+            horizon=self.config.duration,
+        )
+        return arrivals, next(arrivals, None)
+
     def _build_clients(self) -> None:
         """Build every entity this run realises, then arm its arrivals.
 
@@ -670,7 +716,10 @@ class Simulation:
         class (:func:`partition_client_classes`), attached to its node
         under its representative's (lowest member's) id.  A one-member
         entity is built exactly like a client, so a singleton class is
-        bit-identical to the per-client backend (pinned by tests).
+        bit-identical to the per-client backend (pinned by tests).  A
+        screened entity (:data:`SCREEN_BELOW_ARRIVALS`) whose first
+        arrival falls past the horizon is homed idle: zero stats rows and
+        nothing else.
         """
         config = self.config
         spec = config.workload
@@ -682,32 +731,63 @@ class Simulation:
                 self.env.process(node.collector.warmup_process())
         if config.client_backend == "aggregated":
             classes = partition_client_classes(spec, topo)
-            # A shard worker keeps only its nodes' classes in the aligned
-            # clients/_caches/client_classes lists; the *full* class list
-            # still feeds the node-rate arithmetic so policies see the
-            # same floats as a serial build.
+            # A shard worker keeps only its nodes' classes; the *full*
+            # class list still feeds the node-rate arithmetic so policies
+            # see the same floats as a serial build.
             self.client_classes = [
                 cls for cls in classes if self._owns_node(cls.node_id)
             ]
             entities = [
-                (cls.node_id, cls.representative, cls.stream_label, cls)
+                (
+                    cls.node_id,
+                    cls.representative,
+                    cls.stream_label,
+                    cls,
+                    spec.rate_of(cls.representative)
+                    if cls.singleton
+                    else cls.request_rate,
+                )
                 for cls in self.client_classes
             ]
             rates = ((cls.node_id, cls.request_rate) for cls in classes)
         else:
             n = self.num_clients
             entities = [
-                (home, c, f"client{c}", None)
+                (home, c, f"client{c}", None, spec.rate_of(c))
                 for c, home in enumerate(map(topo.home_of, range(n)))
                 if self._owns_node(home)
             ]
             rates = ((topo.home_of(c), spec.rate_of(c)) for c in range(n))
         node_rates = self._node_rates(schedule, rates)
+        # Per entity: None (first arrival drawn when armed), its screened
+        # (arrival iterator, first arrival), or _IDLE.
+        drawn: list = [None] * len(entities)
+        if self._screens():
+            expected = schedule.average_multiplier() * config.duration
+            screened = [
+                i
+                for i, (_, _, _, _, rate) in enumerate(entities)
+                if rate * expected < SCREEN_BELOW_ARRIVALS
+            ]
+            streams.derive(
+                entity_stream_names(
+                    [entities[i][2] for i in screened], schedule, items=False
+                )
+            )
+            for i in screened:
+                _, _, label, _, rate = entities[i]
+                arrivals, first = self._first_arrival(schedule, label, rate)
+                if first is None:
+                    streams.pop(f"{label}/arrivals")
+                    drawn[i] = _IDLE
+                else:
+                    drawn[i] = arrivals, first
         # Derive every stream the loop below and the arming read, at once
-        # (below the batch crossover each is derived on first use).
+        # (below the batch crossover each is derived on first use); the
+        # screened entities' arrival streams are already in the registry.
         streams.derive(
             entity_stream_names(
-                [label for _, _, label, _ in entities],
+                [e[2] for e, pre in zip(entities, drawn) if pre is not _IDLE],
                 schedule,
                 arrivals=self.replay is None,
                 evictions=config.cache_policy.lower() == "random",
@@ -715,11 +795,13 @@ class Simulation:
         )
         handlers: dict[int, object] = {}
         armed = []
-        for node_id, rep, label, cls in entities:
+        for (node_id, rep, label, cls, rate), pre in zip(entities, drawn):
             node = self.nodes[node_id]
+            if pre is _IDLE:
+                node.attach_idle(rep, CacheStats(), ControllerStats())
+                continue
             if cls is None or cls.singleton:
                 sources = spec.make_phase_sources(rep, streams, schedule)
-                rate = spec.rate_of(rep)
             else:
                 # Poisson superposition: k members at rate λ merge into
                 # one Poisson(kλ) arrival process, and one merged source
@@ -742,7 +824,6 @@ class Simulation:
                         catalogs, schedule.stream_names(f"{label}/items")
                     )
                 )
-                rate = cls.request_rate
             # The predictor sees one source, or a clock-aware view that
             # delegates to the active item variant.
             source = (
@@ -756,16 +837,19 @@ class Simulation:
             if self.replay is not None:
                 handlers[rep] = node.request_handler(rep, controller)
             else:
-                armed.append((node, rep, label, rate, controller, sources))
+                armed.append((node, rep, label, rate, controller, sources, pre))
         if self.replay is not None:
             self.env.process(self._trace_driver(handlers))
             return
 
         def arm(event):
-            # One event at t = 0 arms every entity in build order, so the
-            # first draws happen in the run.
-            for node, rep, label, rate, controller, sources in armed:
-                node.start_arrivals(rep, label, rate, controller, sources, schedule)
+            # One event at t = 0 arms every built entity in build order;
+            # an unscreened one draws its first arrival here, in the run.
+            for node, rep, label, rate, controller, sources, pre in armed:
+                arrivals, first = pre or self._first_arrival(schedule, label, rate)
+                node.start_arrivals(
+                    rep, controller, sources, schedule, arrivals, first
+                )
 
         self.env.call_at(0.0, arm)
 
@@ -814,24 +898,9 @@ class Simulation:
             if self.only_nodes is not None
             else range(len(self.nodes))
         )
-        class_rows = {node_id: [] for node_id in owned}
-        for cls, controller, cache in zip(
-            self.client_classes, self.clients, self._caches
-        ):
-            class_rows[cls.node_id].append(
-                ClientClassStats(
-                    class_id=cls.class_id,
-                    node_id=cls.node_id,
-                    num_members=cls.size,
-                    representative=cls.representative,
-                    request_rate=cls.request_rate,
-                    requests=controller.stats.requests,
-                    cache_hits=cache.stats.hits,
-                    cache_misses=cache.stats.misses,
-                    prefetches_issued=controller.stats.prefetches_issued,
-                    prefetches_completed=controller.stats.prefetches_completed,
-                )
-            )
+        node_classes = {node_id: [] for node_id in owned}
+        for cls in self.client_classes:
+            node_classes[cls.node_id].append(cls)
         payloads = []
         for node_id in owned:
             node = self.nodes[node_id]
@@ -852,9 +921,28 @@ class Simulation:
                     peer_bytes=(
                         node.peer_link.peer_bytes if node.peer_link else 0.0
                     ),
-                    cache_stats=[c.stats for c in node.caches],
-                    controller_stats=[c.stats for c in node.controllers],
-                    class_rows=tuple(class_rows[node_id]),
+                    cache_stats=node.cache_stats,
+                    controller_stats=node.controller_stats,
+                    # A node's classes are its entities, in the same order.
+                    class_rows=tuple(
+                        ClientClassStats(
+                            class_id=cls.class_id,
+                            node_id=cls.node_id,
+                            num_members=cls.size,
+                            representative=cls.representative,
+                            request_rate=cls.request_rate,
+                            requests=controller.requests,
+                            cache_hits=cache.hits,
+                            cache_misses=cache.misses,
+                            prefetches_issued=controller.prefetches_issued,
+                            prefetches_completed=controller.prefetches_completed,
+                        )
+                        for cls, cache, controller in zip(
+                            node_classes[node_id],
+                            node.cache_stats,
+                            node.controller_stats,
+                        )
+                    ),
                 )
             )
         return payloads

@@ -175,20 +175,29 @@ class PhaseSchedule:
 
         A single-phase schedule never ends (``end = inf``), so
         :func:`arrival_times` never restarts a stationary process.  A
-        boundary instant belongs to the phase it *starts*.
+        boundary instant belongs to the phase it *starts*, so ``end`` is
+        always after ``t``: where ``base + bound`` rounds to ``t`` itself
+        (phases of 0.1 and 0.2 at t = 0.4), the next phase covers ``t``.
         """
         if len(self.phases) == 1:
             return 0, inf
+        bounds = self._bounds
         cycles = floor(t / self.cycle)
         r = t - cycles * self.cycle
         if r >= self.cycle:  # float guard: t an exact multiple of cycle
             cycles += 1
             r = 0.0
-        base = cycles * self.cycle
-        for idx, bound in enumerate(self._bounds):
-            if r < bound:
-                return idx, base + bound
-        return len(self.phases) - 1, base + self.cycle  # pragma: no cover
+        idx = 0
+        while r >= bounds[idx]:
+            idx += 1
+        end = cycles * self.cycle + bounds[idx]
+        while end <= t:
+            idx += 1
+            if idx == len(bounds):
+                idx = 0
+                cycles += 1
+            end = cycles * self.cycle + bounds[idx]
+        return idx, end
 
     def variant_at(self, t: float) -> int:
         """Item-variant index active at time ``t``."""

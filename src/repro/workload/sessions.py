@@ -251,6 +251,7 @@ def entity_stream_names(
     labels: Sequence[str],
     schedule: PhaseSchedule,
     *,
+    items: bool = True,
     arrivals: bool = True,
     evictions: bool = False,
 ) -> list[str]:
@@ -260,11 +261,14 @@ def entity_stream_names(
     ``stream_label``).  Each reads one item stream per item variant of
     ``schedule`` and, unless a trace drives it, its arrival stream; the
     ``random`` cache policy adds an eviction stream.  Builds pass this
-    list to :meth:`RandomStreams.derive`.  A new per-entity stream must be
-    listed here as well: one that is not still gets the right state from
-    ``RandomStreams.get``, one derivation at a time.
+    list to :meth:`RandomStreams.derive`: a simulation first derives the
+    arrival streams (``items=False``) of the entities it screens for a
+    first arrival, then every stream of the entities it builds.  A new
+    per-entity stream must be listed here as well: one that is not still
+    gets the right state from ``RandomStreams.get``, one derivation at a
+    time.
     """
-    suffixes = list(schedule.stream_names("/items"))
+    suffixes = list(schedule.stream_names("/items")) if items else []
     if arrivals:
         suffixes.append("/arrivals")
     if evictions:

@@ -6,7 +6,8 @@ function, from per-node payloads, so the cross-backend fuzz in
 backends share.  This oracle reads the answer straight off a serial
 simulation after its run instead — the controllers and caches in build
 order, the class partition, the live metrics collectors and the fault
-runtime — without going through the assembly code.
+runtime — without going through the assembly code.  In sparse runs the
+entities that never arrive are homed idle, with zero rows of their own.
 """
 
 from __future__ import annotations
@@ -17,12 +18,15 @@ from pathlib import Path
 
 import pytest
 
+from repro.cache.base import CacheStats
+from repro.des.rng import RandomStreams
 from repro.network.topology import TopologyConfig
+from repro.prefetch.controller import ControllerStats
 from repro.scenario import compile_config, load_scenario
 from repro.sim.config import SimulationConfig
 from repro.sim.metrics import finalize_aggregate
 from repro.sim.simulation import Simulation
-from repro.workload.phases import PhaseSpec
+from repro.workload.phases import PhaseSpec, arrival_times
 from repro.workload.sessions import WorkloadSpec
 
 SCENARIOS = Path(__file__).resolve().parents[2] / "scenarios"
@@ -168,3 +172,119 @@ def test_fault_timeline_is_the_recorded_rows(ran):
     else:
         assert sim.fault_runtime is None
         assert out.kpis.fault_timeline == ()
+
+
+# ----------------------------------------------------------------------
+# Sparse runs: screened entities, most of them idle
+# ----------------------------------------------------------------------
+def _sparse(**overrides) -> SimulationConfig:
+    """300 clients on 3 proxies expecting 0.2–0.8 arrivals each in 2 s:
+    every one is screened, and most never arrive."""
+    return _config(duration=2.0, warmup=0.2, **overrides)
+
+
+SPARSE = {
+    "sparse-per-client-3p": lambda: _sparse(
+        workload=WorkloadSpec(
+            num_clients=300,
+            request_rate=60.0,
+            catalog_size=80,
+            zipf_exponent=0.8,
+            follow_probability=0.6,
+        ),
+    ),
+    # A distinct rate per client makes every class a singleton.
+    "sparse-singleton-classes-3p": lambda: _sparse(
+        client_backend="aggregated",
+        workload=WorkloadSpec(
+            num_clients=300,
+            request_rate=60.0,
+            catalog_size=80,
+            zipf_exponent=0.8,
+            follow_probability=0.6,
+            client_overrides={
+                c: {"request_rate": 0.1 + 0.001 * c} for c in range(300)
+            },
+        ),
+    ),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(SPARSE))
+def sparse_ran(request):
+    config = SPARSE[request.param]()
+    sim = Simulation(config)
+    out = sim.run()
+    spec = config.workload
+    if config.client_backend == "aggregated":
+        entities = [(cls.stream_label, cls.request_rate) for cls in sim.client_classes]
+    else:
+        entities = [(f"client{c}", spec.rate_of(c)) for c in range(spec.num_clients)]
+    # Whether each entity's first arrival falls in the horizon, from a
+    # fresh copy of its arrival stream.
+    arrives = [
+        next(
+            arrival_times(
+                spec.make_schedule(),
+                rate,
+                RandomStreams(config.seed).get(f"{label}/arrivals"),
+                horizon=config.duration,
+            ),
+            None,
+        )
+        is not None
+        for label, rate in entities
+    ]
+    assert 0 < sum(arrives) < len(arrives) // 2
+    return sim, out, entities, arrives
+
+
+def test_sparse_rows_are_live_or_zero(sparse_ran):
+    sim, out, entities, arrives = sparse_ran
+    assert len(out.cache_stats) == len(out.controller_stats) == len(entities)
+    assert sum(len(shard.clients) for shard in out.per_proxy) == len(entities)
+    assert len(sim.clients) == len(sim._caches) == sum(arrives)
+    # Every row is an object of its own: idle rows alias nothing.
+    assert len({id(row) for row in out.cache_stats}) == len(entities)
+    assert len({id(row) for row in out.controller_stats}) == len(entities)
+    live = iter(zip(sim.clients, sim._caches))
+    live_ids = {id(c.stats) for c in sim.clients} | {id(c.stats) for c in sim._caches}
+    for arrived, cache_row, controller_row in zip(
+        arrives, out.cache_stats, out.controller_stats
+    ):
+        if arrived:
+            controller, cache = next(live)
+            assert controller_row is controller.stats
+            assert cache_row is cache.stats
+            assert controller_row.requests > 0
+        else:
+            assert cache_row == CacheStats()
+            assert controller_row == ControllerStats()
+            assert id(cache_row) not in live_ids
+            assert id(controller_row) not in live_ids
+
+
+def test_sparse_class_rows_partition_the_totals(sparse_ran):
+    sim, out, _, arrives = sparse_ran
+    if not sim.client_classes:
+        assert out.client_classes == ()
+        return
+    rows = out.client_classes
+    assert [row.class_id for row in rows] == [c.class_id for c in sim.client_classes]
+    assert sum(row.num_members for row in rows) == sim.config.workload.num_clients
+    assert sum(row.requests for row in rows) == sum(
+        c.requests for c in out.controller_stats
+    )
+    assert sum(row.cache_hits + row.cache_misses for row in rows) == sum(
+        c.hits + c.misses for c in out.cache_stats
+    )
+    assert sum(row.prefetches_issued for row in rows) == out.link_prefetch_fetches
+    for row, arrived in zip(rows, arrives):
+        assert (row.requests > 0) == arrived
+
+
+def test_no_idle_arrival_stream_stays_registered(sparse_ran):
+    sim, _, entities, arrives = sparse_ran
+    registered = sim.streams._streams
+    for (label, _), arrived in zip(entities, arrives):
+        assert (f"{label}/arrivals" in registered) == arrived, label

@@ -8,7 +8,8 @@ The load-bearing guarantees:
 * a single phase with ``rate_multiplier=m`` is bit-identical to a
   stationary spec whose ``request_rate`` is scaled by ``m`` (the
   memoryless pin: one Exp(1/(mλ)) stream, same RNG draws);
-* phased runs are deterministic (same seed → same output).
+* phased runs are deterministic (same seed → same output);
+* phase boundaries whose float sums round do not stall a run.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments.scenario import STATIONARY_SUFFIX, ScenarioExperiment
+from repro.scenario import compile_config, parse_scenario
 from repro.sim.config import SimulationConfig
 from repro.sim.simulation import run_simulation
 from repro.sim.sweep import SweepPoint
@@ -189,6 +191,43 @@ class TestPhaseSchedule:
         names = schedule.stream_names("client0/items")
         assert names[0] == "client0/items"  # base variant keeps the old name
         assert "phase-variant" in names[1]
+
+
+def rounding_phases_document(backend: str) -> dict:
+    """Two clients, phases of 0.1 s and 0.2 s, a 1 s run: the second
+    boundary is 0.1 + 0.30000000000000004, which rounds to 0.4 exactly."""
+    return {
+        "name": "rounding-phases",
+        "workload": {
+            "num_clients": 2,
+            "request_rate": 20.0,
+            "catalog_size": 50,
+            "phases": [
+                {"duration": 0.1},
+                {"duration": 0.2, "rate_multiplier": 3.0},
+            ],
+        },
+        "system": {"duration": 1.0, "warmup": 0.1, "client_backend": backend},
+    }
+
+
+class TestRoundingPhaseBoundaries:
+    @pytest.mark.parametrize("backend", ["per-client", "aggregated"])
+    def test_scenario_builds_and_runs(self, backend):
+        config = compile_config(parse_scenario(rounding_phases_document(backend)))
+        assert config.client_backend == backend
+        out = run_simulation(config)
+        assert sum(c.requests for c in out.controller_stats) > 20
+
+    def test_generate_trace_finishes(self):
+        config = compile_config(
+            parse_scenario(rounding_phases_document("per-client"))
+        )
+        trace = generate_trace(config.workload, duration=1.0, seed=3)
+        assert len(trace) > 20
+        assert all(0.0 < r.time <= 1.0 for r in trace)
+        # Arrivals continue past the boundary at 0.4.
+        assert any(r.time > 0.4 for r in trace)
 
 
 class TestStationaryTwin:

@@ -5,11 +5,6 @@ piecewise-Poisson law: one scalar ``PoissonArrivals.next_gap`` draw per
 step, the phase located before every draw.  ``arrival_times`` draws
 Exp(1) units in blocks and scales them by the phase's mean gap; on the
 same seed it must give the same ``(time, phase)`` sequence, bit for bit.
-
-Phase durations are whole multiples of a power-of-two quantum, so every
-phase boundary is an exact float: ``PhaseSchedule.locate`` can stall on
-a boundary whose float sum rounds (an open item in ROADMAP.md), and both
-laws would stall with it.
 """
 
 import itertools
@@ -17,7 +12,7 @@ import math
 
 import numpy as np
 from arrival_reference import reference_arrivals
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.workload.phases import (
@@ -27,13 +22,6 @@ from repro.workload.phases import (
     PhaseSpec,
     arrival_times,
 )
-
-
-def exact_duration(gaps: float, mean_gap: float) -> float:
-    """``gaps`` mean gaps, rounded to a multiple of ``2**-24`` of the
-    mean gap's binade."""
-    quantum = math.ldexp(1.0, math.frexp(mean_gap)[1] - 24)
-    return round(gaps * mean_gap / quantum) * quantum
 
 
 def assert_same_arrivals(schedule, rate, seed, horizon):
@@ -70,7 +58,7 @@ class TestAgainstScalarChain:
     def test_same_times_and_phases(self, shapes, rate, seed, horizon_gaps):
         mean_gap = 1.0 / rate
         schedule = PhaseSchedule(
-            PhaseSpec(duration=exact_duration(d, mean_gap), rate_multiplier=m)
+            PhaseSpec(duration=d * mean_gap, rate_multiplier=m)
             for d, m in shapes
         )
         # Every boundary costs the oracle a draw: keep to ~3000 of them.
@@ -83,13 +71,9 @@ class TestAgainstScalarChain:
         mean_gap = 1.0 / 3.0
         schedule = PhaseSchedule(
             (
-                PhaseSpec(duration=exact_duration(40.0, mean_gap)),
-                PhaseSpec(
-                    duration=exact_duration(0.3, mean_gap), rate_multiplier=7.5
-                ),
-                PhaseSpec(
-                    duration=exact_duration(25.0, mean_gap), rate_multiplier=0.2
-                ),
+                PhaseSpec(duration=40.0 * mean_gap),
+                PhaseSpec(duration=0.3 * mean_gap, rate_multiplier=7.5),
+                PhaseSpec(duration=25.0 * mean_gap, rate_multiplier=0.2),
             )
         )
         for seed in range(5):
@@ -125,6 +109,83 @@ class TestAgainstScalarChain:
         witness = np.random.default_rng(5)
         witness.standard_exponential(111)
         assert rng.bit_generator.state == witness.bit_generator.state
+
+
+class CheckedSchedule(PhaseSchedule):
+    """A schedule whose ``locate`` checks and counts its own answers.
+
+    A stalled boundary is ``locate(t)`` returning ``end == t``, after
+    which both laws restart at ``t`` forever; the count bounds the work
+    of any other endless loop without a wall clock.
+    """
+
+    def __init__(self, phases, *, limit: int) -> None:
+        super().__init__(phases)
+        self.calls = 0
+        self.limit = limit
+
+    def locate(self, t):
+        self.calls += 1
+        assert self.calls <= self.limit, f"{self.calls} locate calls"
+        idx, end = super().locate(t)
+        assert end > t, f"locate({t!r}) ended at {end!r} (phase {idx})"
+        return idx, end
+
+
+class TestFloatBoundaries:
+    """Durations that are not exact floats: boundary sums that round."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        shapes=st.lists(
+            st.tuples(st.floats(1e-3, 1e3), st.floats(0.1, 10.0)),
+            min_size=2,
+            max_size=4,
+        ),
+        # base-rate arrivals per cycle, and the horizon in cycles
+        per_cycle=st.floats(0.1, 300.0),
+        seed=st.integers(0, 2**32 - 1),
+        cycles=st.floats(1e-3, 500.0),
+    )
+    # Phases of 0.1 and 0.2 end at 0.1 + 0.30000000000000004 == 0.4.
+    @example(shapes=[(0.1, 1.0), (0.2, 3.0)], per_cycle=6.0, seed=1, cycles=3.4)
+    def test_locate_ends_later_and_laws_agree(self, shapes, per_cycle, seed, cycles):
+        cycle = sum(d for d, _ in shapes)
+        rate = per_cycle / cycle
+        peak = rate * max(m for _, m in shapes)
+        horizon = min(cycles * cycle, 3000.0 / peak)
+        # The oracle stops at its first arrival past the horizon: allow
+        # for 60 mean gaps at the slowest rate (probability e**-60).
+        reach = horizon + 60.0 / (rate * min(m for _, m in shapes))
+        boundaries = len(shapes) * (math.ceil(reach / cycle) + 2)
+        schedule = CheckedSchedule(
+            (PhaseSpec(duration=d, rate_multiplier=m) for d, m in shapes),
+            limit=4 * (boundaries + math.ceil(peak * horizon)) + 1000,
+        )
+        new = list(
+            arrival_times(schedule, rate, np.random.default_rng(seed), horizon=horizon)
+        )
+        # The oracle locates before every draw, so it checks every
+        # arrival instant as well as every boundary.
+        ref = reference_arrivals(
+            schedule, rate, np.random.default_rng(seed), horizon=horizon
+        )
+        assert new == ref
+
+    def test_crossed_boundaries_step_forward(self):
+        schedule = PhaseSchedule(
+            (PhaseSpec(duration=0.1), PhaseSpec(duration=0.2))
+        )
+        t, ends = 0.0, []
+        for _ in range(8):
+            idx, t = schedule.locate(t)
+            ends.append((idx, t))
+        assert [idx for idx, _ in ends] == [0, 1] * 4
+        assert all(a[1] < b[1] for a, b in zip(ends, ends[1:]))
+        # 0.4 is where ``base + bound`` rounds onto ``t``: the boundary
+        # belongs to the phase it starts.
+        assert ends[1][1] + 0.1 == 0.4
+        assert schedule.locate(0.4) == (1, ends[3][1])
 
 
 class TestPremise:
