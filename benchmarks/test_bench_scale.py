@@ -31,13 +31,13 @@ never arrive, and full garbage collections rescanning the whole built
 tier.  With that waste gone, every per-client stream derived in one
 vectorized batch, and the clients that never arrive in the horizon left
 unbuilt (their first arrival is drawn at build time), the per-client
-backend runs the 100k population in 2.1-3.7 s instead of 26 s on a
-2-vCPU x86 host (seed 7, 10 timed runs).  The measured ratio is
-2.9-4.3x at 100k (median 3.9x over 22 runs, one of them below the 3x
-floor) and 2.1-3.2x at 20k (6 runs).  A faster per-client backend lowers
-the ratio, so the 100k floor no longer keeps headroom: it still fails
-if the aggregated backend stops collapsing the population, and a noisy
-host can trip it too.
+backend runs the 100k population in 2.3-2.9 s instead of 26 s on a
+2-vCPU x86 host (seed 7, 12 timed runs).  The measured ratio is
+3.6-4.3x at 100k (median 4.0x over 12 runs; an earlier set of 22 runs
+read 2.9-4.3x, one of them below the 3x floor) and 2.1-3.2x at 20k
+(6 runs).  A faster per-client backend lowers the ratio, so the 100k
+floor keeps little headroom: it still fails if the aggregated backend
+stops collapsing the population, and a noisy host can trip it too.
 
 Run:  pytest benchmarks/test_bench_scale.py --benchmark-only -s
 """

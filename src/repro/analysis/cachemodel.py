@@ -488,11 +488,9 @@ class AnalyticPredictor:
       bandwidth/cache overrides.
 
     Scope (documented, cross-validated by ``sim-vs-analytic``): IRM
-    demand traffic.  Prefetch-free points (``policy="none"``) are modelled
-    faithfully; prefetching policies receive the no-prefetch baseline
-    (screening still ranks their grids, but treat absolute numbers as a
-    bound).  Trace-driven points raise :class:`PredictionUnsupported` —
-    screening simply simulates them.
+    demand traffic, so only prefetch-free points (``policy="none"``).  A
+    prefetching policy, a phased workload or a trace-driven point raises
+    :class:`PredictionUnsupported` — screening simply simulates them.
 
     ``variant`` picks the hit-ratio model: ``"che"`` (shared-T simplified
     fixed point, the default), ``"che-exact"`` (per-item T, O(N²)) or
@@ -506,16 +504,18 @@ class AnalyticPredictor:
     #: cache point), so most predictions cost a dict lookup, not a solve.
     _hit_cache: dict = field(default_factory=dict, repr=False)
 
-    def _cache_hit_ratio(self, pdf: np.ndarray, capacity: float, policy: str) -> float:
-        if self.variant == "che-exact" and _kernel_for(policy) is _phi_lru:
-            return che_hit_ratio(pdf, capacity)
-        if self.variant == "laoutaris" and _kernel_for(policy) is _phi_lru:
-            return laoutaris_hit_ratio(pdf, capacity)
+    def __post_init__(self) -> None:
         if self.variant not in ("che", "che-exact", "laoutaris"):
             raise ParameterError(
                 f"unknown predictor variant {self.variant!r}; "
                 "use 'che', 'che-exact' or 'laoutaris'"
             )
+
+    def _cache_hit_ratio(self, pdf: np.ndarray, capacity: float, policy: str) -> float:
+        if self.variant == "che-exact" and _kernel_for(policy) is _phi_lru:
+            return che_hit_ratio(pdf, capacity)
+        if self.variant == "laoutaris" and _kernel_for(policy) is _phi_lru:
+            return laoutaris_hit_ratio(pdf, capacity)
         return che_hit_ratio_generalized(pdf, capacity, policy)
 
     def _catalog_pdf(self, catalog_size: int, exponent: float) -> np.ndarray:
@@ -598,6 +598,11 @@ class AnalyticPredictor:
                 "closed forms assume one stationary regime — simulate, or "
                 "predict the stationary twin (phases=None, request_rate "
                 "scaled by the schedule's average multiplier)"
+            )
+        if config.policy != "none":
+            raise PredictionUnsupported(
+                f"policy {config.policy!r} prefetches; the Che/PS closed "
+                "forms model demand traffic only — simulate"
             )
         topo = config.topology
         s_bar = spec.mean_item_size

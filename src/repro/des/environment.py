@@ -9,17 +9,16 @@ depends on it.
 
 from __future__ import annotations
 
-import heapq
 from heapq import heappop, heappush
-from typing import Any, Generator, Iterable, Optional
+from typing import Any, Generator
 
-from repro.des.events import AllOf, AnyOf, Event, Process, Timeout
+from repro.des.events import Event, Process, Task, Timeout, _wait
 from repro.errors import SimulationError
 
 __all__ = ["Environment", "URGENT", "NORMAL"]
 
 #: Priority for events that must precede same-time normal events
-#: (process initialisation, interrupts).
+#: (process initialisation, :meth:`Environment.call_soon`).
 URGENT = 0
 #: Default scheduling priority.
 NORMAL = 1
@@ -54,7 +53,6 @@ class Environment:
         self._now = float(initial_time)
         self._queue: list[tuple[float, int, int, Event]] = []
         self._eid = 0
-        self._active_process: Optional[Process] = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -63,11 +61,6 @@ class Environment:
     def now(self) -> float:
         """Current simulation time."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently executing (None between steps)."""
-        return self._active_process
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
@@ -209,9 +202,8 @@ class Environment:
         """An event firing ``delay`` from now, carrying ``value``.
 
         Timeouts dominate event traffic, so this skips the
-        ``Timeout.__init__`` → ``Event.__init__`` → :meth:`schedule` chain
-        and builds the already-triggered event in place (identical queue
-        entry, so processing order is unchanged).
+        ``Event.__init__`` → :meth:`schedule` chain and builds the
+        already-triggered event in place.
         """
         if delay < 0:
             raise SimulationError(f"negative timeout delay {delay!r}")
@@ -220,7 +212,6 @@ class Environment:
         event.callbacks = []
         event._ok = True
         event._value = value
-        event.delay = delay
         self._eid = eid = self._eid + 1
         heappush(self._queue, (self._now + delay, NORMAL, eid, event))
         return event
@@ -242,7 +233,6 @@ class Environment:
         event.callbacks = []
         event._ok = True
         event._value = value
-        event.delay = time - self._now
         self._eid = eid = self._eid + 1
         heappush(self._queue, (time, NORMAL, eid, event))
         return event
@@ -267,17 +257,38 @@ class Environment:
         event.callbacks = [callback]
         event._ok = True
         event._value = value
-        event.delay = time - self._now
         self._eid = eid = self._eid + 1
         heappush(self._queue, (time, NORMAL, eid, event))
+        return event
+
+    def call_soon(self, callback, value: Any = None) -> Event:
+        """Schedule ``callback(event)`` now, as URGENT as a process start:
+        after the URGENT events already queued, before any NORMAL event at
+        this time."""
+        event = Event.__new__(Event)
+        event.env = self
+        event.callbacks = [callback]
+        event._ok = True
+        event._value = value
+        self._eid = eid = self._eid + 1
+        heappush(self._queue, (self._now, URGENT, eid, event))
         return event
 
     def process(self, generator: Generator[Any, Any, Any]) -> Process:
         """Start a process from a generator; returns its completion event."""
         return Process(self, generator)
 
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
+    def start(self, generator: Generator[Any, Any, Any]) -> None:
+        """Run ``generator`` now, as a :class:`~repro.des.events.Task`.
 
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
+        It runs to its first ``yield`` before this returns, then is resumed
+        by each event it yields.  Unlike :meth:`process`, starting and
+        finishing it schedule nothing, and nothing can wait on it.  An
+        exception it raises propagates to the caller, so from within the
+        event loop out of :meth:`run`.
+        """
+        try:
+            event = generator.send(None)
+        except StopIteration:
+            return
+        _wait(self, event, Task(self, generator)._resume)

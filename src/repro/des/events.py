@@ -11,29 +11,22 @@ Event lifecycle::
     PENDING ──succeed(value)──► TRIGGERED ──(env.step)──► PROCESSED
         └────fail(exception)──► TRIGGERED (failed)
 
-Composite conditions (:class:`AllOf` / :class:`AnyOf`, also reachable via
-``&`` and ``|``) let a process wait for conjunctions/disjunctions of events.
+A generator runs either as a :class:`Process`, itself an event that other
+processes can wait on, or as a :class:`Task`, which is no event: starting
+and finishing one schedule nothing (see :meth:`Environment.start`).
 """
 
 from __future__ import annotations
 
 from heapq import heappush
-from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
 
 from repro.errors import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.des.environment import Environment
 
-__all__ = [
-    "Event",
-    "Timeout",
-    "Process",
-    "AllOf",
-    "AnyOf",
-    "Interrupt",
-    "ConditionValue",
-]
+__all__ = ["Event", "Timeout", "Process", "Task"]
 
 _PENDING = object()
 
@@ -42,18 +35,6 @@ _PENDING = object()
 #: mirrored values and the inlined queue-entry layout against drift.
 _URGENT = 0
 _NORMAL = 1
-
-
-class Interrupt(Exception):
-    """Thrown into a process by :meth:`Process.interrupt`.
-
-    ``cause`` carries arbitrary context from the interrupter (e.g. the
-    reason a prefetch was cancelled).
-    """
-
-    @property
-    def cause(self) -> Any:
-        return self.args[0] if self.args else None
 
 
 class Event:
@@ -143,15 +124,6 @@ class Event:
         heappush(env._queue, (env._now + delay, _NORMAL, eid, self))
         return self
 
-    # ------------------------------------------------------------------
-    # Composition
-    # ------------------------------------------------------------------
-    def __and__(self, other: "Event") -> "AllOf":
-        return AllOf(self.env, [self, other])
-
-    def __or__(self, other: "Event") -> "AnyOf":
-        return AnyOf(self.env, [self, other])
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = (
             "processed"
@@ -162,22 +134,11 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that fires ``delay`` time units after creation.
+    """An event that fires a given delay after creation, carrying its value
+    from the start (built by :meth:`Environment.timeout`, :meth:`~Environment.at`
+    and :meth:`~Environment.call_at`)."""
 
-    :meth:`Environment.timeout` constructs these through a fast path that
-    bypasses the ``__init__`` chain; this constructor stays for direct use.
-    """
-
-    __slots__ = ("delay",)
-
-    def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay {delay!r}")
-        super().__init__(env)
-        self.delay = delay
-        self._ok = True
-        self._value = value
-        env.schedule(self, delay=delay)
+    __slots__ = ()
 
 
 class Initialize(Event):
@@ -201,7 +162,7 @@ class Process(Event):
     can wait for each other (``yield env.process(child())``).
     """
 
-    __slots__ = ("_generator", "_target")
+    __slots__ = ("_generator",)
 
     def __init__(self, env: "Environment", generator: Generator[Any, Any, Any]) -> None:
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
@@ -211,48 +172,11 @@ class Process(Event):
             )
         super().__init__(env)
         self._generator = generator
-        self._target: Optional[Event] = None  # event we are waiting on
         Initialize(env, self)
 
-    @property
-    def is_alive(self) -> bool:
-        return self._value is _PENDING
-
-    @property
-    def target(self) -> Optional[Event]:
-        """The event this process is currently waiting for (None if running)."""
-        return self._target
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time.
-
-        The process must be alive and not interrupting itself.  The event it
-        was waiting on stays valid: the process may yield it again later.
-        """
-        if not self.is_alive:
-            raise SimulationError("cannot interrupt a terminated process")
-        if self is self.env.active_process:
-            raise SimulationError("a process cannot interrupt itself")
-        # Deliver asynchronously via a failed event so ordering stays sane.
-        interrupt_event = Event(self.env)
-        interrupt_event._ok = False
-        interrupt_event._value = Interrupt(cause)
-        interrupt_event.callbacks = [self._resume]
-        self.env.schedule(interrupt_event, priority=0)
-        # Unhook from the old target so normal resumption doesn't double-fire.
-        if self._target is not None and self._target.callbacks is not None:
-            try:
-                self._target.callbacks.remove(self._resume)
-            except ValueError:  # pragma: no cover - already detached
-                pass
-        self._target = None
-
-    # ------------------------------------------------------------------
     def _resume(self, event: Event) -> None:
         """Advance the generator with ``event``'s outcome."""
         env = self.env
-        env._active_process = self
-        self._target = None
         generator = self._generator
         try:
             if event._ok:
@@ -260,103 +184,65 @@ class Process(Event):
             else:
                 next_event = generator.throw(event._value)
         except StopIteration as stop:
-            env._active_process = None
             self._ok = True
             self._value = stop.value
             env.schedule(self)
             return
         except BaseException as exc:
-            env._active_process = None
             self._ok = False
             self._value = exc
             env.schedule(self)
             return
-        env._active_process = None
-        if not isinstance(next_event, Event):
-            raise SimulationError(
-                f"process yielded {next_event!r}; processes must yield Event "
-                f"instances (Timeout, Process, resource requests, ...)"
-            )
-        if next_event.env is not env:
-            raise SimulationError("process yielded an event from another environment")
-        if next_event.callbacks is None:
-            # Already processed: resume immediately at the current time.
-            immediate = Event(env)
-            immediate._ok = next_event._ok
-            immediate._value = next_event._value
-            immediate.callbacks = [self._resume]
-            env.schedule(immediate)
-            self._target = immediate
-        else:
-            next_event.callbacks.append(self._resume)
-            self._target = next_event
+        _wait(env, next_event, self._resume)
 
 
-class ConditionValue(dict):
-    """Mapping of source events to their values for triggered conditions."""
+class Task:
+    """A generator driven by the events it yields, with no events of its own.
 
+    Started by :meth:`Environment.start`.  Unlike a :class:`Process`, a
+    task is not an event: it runs at once instead of from an initialising
+    event, and finishing schedules nothing, so nothing can wait for it.
+    An exception the generator does not handle propagates out of the
+    callback that resumed it, and so out of :meth:`Environment.run` at
+    the instant it was raised.
+    """
 
-class _Condition(Event):
-    """Shared machinery for :class:`AllOf` / :class:`AnyOf`."""
+    __slots__ = ("env", "_generator")
 
-    __slots__ = ("events", "_pending")
+    def __init__(self, env: "Environment", generator: Generator[Any, Any, Any]) -> None:
+        self.env = env
+        self._generator = generator
 
-    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
-        super().__init__(env)
-        self.events = tuple(events)
-        for ev in self.events:
-            if ev.env is not env:
-                raise SimulationError("condition mixes events from different environments")
-        self._pending = set()
-        if not self.events:
-            self.succeed(ConditionValue())
-            return
-        for ev in self.events:
-            if ev.callbacks is None:  # already processed
-                self._check(ev)
+    def _resume(self, event: Event) -> None:
+        """Advance the generator with ``event``'s outcome."""
+        try:
+            if event._ok:
+                next_event = self._generator.send(event._value)
             else:
-                self._pending.add(ev)
-                ev.callbacks.append(self._check)
-            if self.triggered:
-                break
-
-    def _collect(self) -> ConditionValue:
-        values = ConditionValue()
-        for ev in self.events:
-            # Only *processed* events count: a Timeout carries its value from
-            # creation (triggered == True), but it has not "happened" until
-            # the environment delivers it.
-            if ev.processed and ev._ok:
-                values[ev] = ev._value
-        return values
-
-    def _check(self, event: Event) -> None:
-        self._pending.discard(event)
-        if self.triggered:
+                next_event = self._generator.throw(event._value)
+        except StopIteration:
             return
-        if not event._ok:
-            self.fail(event._value)
-            return
-        if self._satisfied(event):
-            self.succeed(self._collect())
-
-    def _satisfied(self, event: Event) -> bool:  # pragma: no cover - abstract
-        raise NotImplementedError
+        _wait(self.env, next_event, self._resume)
 
 
-class AllOf(_Condition):
-    """Triggers when *all* component events have been processed successfully."""
+def _wait(env: "Environment", event: Any, resume: Callable[[Event], None]) -> None:
+    """Call ``resume`` when ``event``, yielded by a generator, is processed.
 
-    __slots__ = ()
-
-    def _satisfied(self, event: Event) -> bool:
-        return all(ev.processed and ev._ok for ev in self.events)
-
-
-class AnyOf(_Condition):
-    """Triggers when *any* component event has succeeded."""
-
-    __slots__ = ()
-
-    def _satisfied(self, event: Event) -> bool:
-        return True
+    An event processed already resumes at the current time, through a
+    fresh event carrying its outcome.
+    """
+    if not isinstance(event, Event):
+        raise SimulationError(
+            f"process yielded {event!r}; processes must yield Event "
+            f"instances (Timeout, Process, resource requests, ...)"
+        )
+    if event.env is not env:
+        raise SimulationError("process yielded an event from another environment")
+    if event.callbacks is None:
+        immediate = Event(env)
+        immediate._ok = event._ok
+        immediate._value = event._value
+        immediate.callbacks = [resume]
+        env.schedule(immediate)
+    else:
+        event.callbacks.append(resume)

@@ -30,8 +30,12 @@ or a completion costs O(log n) and no per-job remaining work is updated.
   absolute virtual times, so work differences below the resolution of
   ``V`` (its last bit: 1.8e-12 at ``V`` = 1e4) are ties too.
 * **Completion order.**  Jobs leaving at one instant complete in arrival
-  order, so their events keep insertion order; :meth:`fail_all` aborts in
-  arrival order too.
+  order, so the events their callbacks schedule keep insertion order;
+  :meth:`fail_all` aborts in arrival order too.
+* **Completion callback.**  A job carries the caller's ``on_done(job,
+  exc)``, called with ``exc`` None when the job completes (from the timer,
+  with no event in between) and with the exception when :meth:`fail_all`
+  aborts it.
 """
 
 from __future__ import annotations
@@ -39,10 +43,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from operator import itemgetter
-from typing import Any
+from typing import Any, Callable
 
 from repro.des.environment import Environment
-from repro.des.events import Event
 from repro.des.monitors import TimeWeightedValue
 from repro.errors import SimulationError
 
@@ -73,13 +76,17 @@ class PSJob:
         Filled in at departure; NaN while in service.
     tag:
         Caller-supplied context (e.g. the request that caused the fetch).
+    on_done:
+        Called as ``on_done(job, exc)`` when the job leaves: ``exc`` is None
+        at completion, the abort's exception under :meth:`fail_all
+        <ProcessorSharingServer.fail_all>`.
     """
 
     work: float
     arrival_time: float
     tag: Any = None
+    on_done: Callable | None = field(default=None, repr=False)
     completion_time: float = float("nan")
-    done: "Event | None" = field(default=None, repr=False)
 
     @property
     def response_time(self) -> float:
@@ -107,18 +114,17 @@ class ProcessorSharingServer:
     -----
     The server keeps online statistics needed by the experiments: utilisation
     (busy-time weighted), time-averaged number in system, total work served,
-    and per-job response times are returned through the completion events.
+    and per-job response times are handed to each job's ``on_done``.
 
     Examples
     --------
     >>> env = Environment()
     >>> server = ProcessorSharingServer(env, capacity=10.0)
-    >>> def client(env, server):
-    ...     job = yield server.submit(work=5.0)
-    ...     return job.response_time
-    >>> proc = env.process(client(env, server))
-    >>> env.run(proc)
-    0.5
+    >>> times = []
+    >>> _ = server.submit(5.0, None, lambda job, exc: times.append(job.response_time))
+    >>> env.run()
+    >>> times
+    [0.5]
     """
 
     def __init__(self, env: Environment, capacity: float) -> None:
@@ -145,31 +151,30 @@ class ProcessorSharingServer:
         """Jobs currently in service."""
         return len(self._jobs)
 
-    def submit(self, work: float, tag: Any = None) -> Event:
-        """Enter a job; returns an event that succeeds with the finished
-        :class:`PSJob` at its completion time."""
+    def submit(self, work: float, tag: Any, on_done: Callable) -> PSJob:
+        """Enter a job; ``on_done(job, None)`` runs at its completion time
+        (inside this call for a zero-size job).  Returns the job."""
         if work < 0:
             raise SimulationError(f"job work must be >= 0, got {work!r}")
         self._advance()
-        job = PSJob(work=float(work), arrival_time=self.env.now, tag=tag)
-        job.done = done = Event(self.env)
+        job = PSJob(float(work), self.env.now, tag, on_done)
         if work <= _WORK_EPSILON:
             # Zero-size job: completes immediately without touching shares.
             job.completion_time = self.env.now
             self._completed_jobs += 1
-            done.succeed(job)
-            return done
+            on_done(job, None)
+            return job
         self._seq = seq = self._seq + 1
         heappush(self._jobs, (self._vtime + job.work, seq, job))
         self._jobs_in_system.set(len(self._jobs))
         self._reschedule()
-        return done
+        return job
 
     def fail_all(self, exc: BaseException) -> int:
         """Abort every in-service job at once (a crashed server).
 
-        Each job's done event is failed with ``exc``, in arrival order;
-        work already served stays counted (the bandwidth was genuinely
+        Each job's ``on_done`` gets ``exc``, in arrival order; work
+        already served stays counted (the bandwidth was genuinely
         consumed before the crash).  Returns the number of jobs aborted.
         """
         self._advance()
@@ -178,7 +183,7 @@ class ProcessorSharingServer:
         self._jobs_in_system.set(0)
         for _finish, _seq, job in failed:
             job.completion_time = float("nan")
-            job.done.fail(exc)
+            job.on_done(job, exc)
         self._reschedule()
         return len(failed)
 
@@ -257,7 +262,7 @@ class ProcessorSharingServer:
         now = self.env.now
         for _finish, _seq, job in finished:
             job.completion_time = now
-            job.done.succeed(job)
+            job.on_done(job, None)
         self._completed_jobs += len(finished)
         self._jobs_in_system.set(len(jobs))
         self._reschedule()

@@ -62,31 +62,32 @@ class SharedLink:
         self._bytes[kind] += size
         self._fetches[kind] += 1
         done = Event(self.env)
-        job_done = self.server.submit(work=size, tag=request)
-
-        def _complete(event: Event) -> None:
-            if not event._ok:
-                done.fail(event._value)
-                return
-            result = FetchResult(request=request, completed_at=self.env.now)
-            if kind is FetchKind.DEMAND:
-                tally = self.demand_retrieval
-            elif kind is FetchKind.PREFETCH:
-                tally = self.prefetch_retrieval
-            else:
-                tally = self.peer_retrieval
-            tally.record(result.retrieval_time)
-            done.succeed(result)
-
-        job_done.callbacks.append(_complete)
+        self.server.submit(size, (request, done), self._complete)
         return done
+
+    def _complete(self, job, exc: BaseException | None) -> None:
+        """The server finished (or aborted) a fetch: resolve its event."""
+        request, done = job.tag
+        if exc is not None:
+            done.fail(exc)
+            return
+        result = FetchResult(request=request, completed_at=self.env.now)
+        kind = request.kind
+        if kind is FetchKind.DEMAND:
+            tally = self.demand_retrieval
+        elif kind is FetchKind.PREFETCH:
+            tally = self.prefetch_retrieval
+        else:
+            tally = self.peer_retrieval
+        tally.record(result.retrieval_time)
+        done.succeed(result)
 
     # ------------------------------------------------------------------
     def fail_inflight(self, exc: BaseException) -> int:
         """Abort every transfer currently on the link (the server crashed).
 
         Each waiting fetcher sees ``exc`` raised from its pending fetch
-        event via the ``_complete`` failure path.  Offered-load accounting
+        event via :meth:`_complete`.  Offered-load accounting
         is issue-time and therefore keeps the aborted bytes: the work was
         offered to the link before the crash.  Returns the abort count.
         """

@@ -37,12 +37,17 @@ duplicate transfer into existence.
 One table serves one client: caches are per client, so joining across
 clients would hand a requester a transfer that fills someone else's cache.
 
-Arrivals reach the request path through one synthetic driver,
+Each arriving entity's request path is one :class:`RequestPath` object.
+Arrivals reach it through one synthetic driver,
 :meth:`ProxyNode.start_arrivals`, for every entity: a client is a
 one-member client class, and a stationary workload is one neutral phase.
 Trace replay runs through one merged ``Simulation``-level driver instead.
-An entity that never arrives in the horizon may be homed *idle*
-(:meth:`ProxyNode.attach_idle`): its id and zero stats rows, nothing else.
+Either driver runs a request inline from its arrival event; a miss that
+must wait continues as a task (:meth:`Environment.start
+<repro.des.environment.Environment.start>`), and a request's planned
+prefetches start together from one URGENT event.  An entity that never
+arrives in the horizon may be homed *idle* (:meth:`ProxyNode.attach_idle`):
+its id and zero stats rows, nothing else.
 """
 
 from __future__ import annotations
@@ -58,7 +63,7 @@ from repro.sim.metrics import MetricsCollector
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (sim builds nodes)
     from repro.sim.simulation import Simulation
 
-__all__ = ["FetchTable", "FetchTableStats", "PendingFetch", "ProxyNode"]
+__all__ = ["FetchTable", "FetchTableStats", "PendingFetch", "ProxyNode", "RequestPath"]
 
 
 @dataclass(slots=True)
@@ -86,21 +91,18 @@ class FetchTableStats:
 
 
 class PendingFetch:
-    """One in-flight transfer: its kind, completion event and joiner count."""
+    """One in-flight transfer: its kind, and its join event once joined."""
 
-    __slots__ = ("item", "kind", "event", "joiners")
+    __slots__ = ("item", "kind", "event")
 
-    def __init__(self, item: Hashable, kind: str, event: Event) -> None:
+    def __init__(self, item: Hashable, kind: str) -> None:
         self.item = item
         self.kind = kind  # "demand" | "prefetch" | "remote"
-        self.event = event
-        self.joiners = 0
+        #: created by the first join; a fetch nobody joins has none
+        self.event: Event | None = None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"<PendingFetch {self.item!r} kind={self.kind} "
-            f"joiners={self.joiners}>"
-        )
+        return f"<PendingFetch {self.item!r} kind={self.kind}>"
 
 
 class FetchTable:
@@ -110,10 +112,11 @@ class FetchTable:
 
     * an item has at most one pending entry at a time;
     * every registered entry is resolved exactly once (complete or fail);
-    * a resolution wakes every joiner — completion succeeds the event,
-      failure fails it *iff* someone is waiting (an untriggered orphan
-      would suspend joiners forever; an unwaited failure would crash the
-      run via the environment's unhandled-failure check).
+    * a resolution wakes every joiner — completion succeeds the join
+      event, failure fails it *iff* someone is waiting (an unwaited
+      failure would crash the run via the environment's unhandled-failure
+      check).  The event is created by the first join, so a fetch nobody
+      joins schedules no event when it resolves.
 
     The invariants are kind-blind: a ``remote`` entry (cooperative probe +
     peer transfer, or its origin fallback) joins, completes and fails
@@ -154,7 +157,7 @@ class FetchTable:
             raise SimulationError(
                 f"item {item!r} already has a pending {self._pending[item].kind} fetch"
             )
-        entry = PendingFetch(item, kind, Event(self.env))
+        entry = PendingFetch(item, kind)
         self._pending[item] = entry
         if kind == "demand":
             self.stats.demand_registered += 1
@@ -167,8 +170,9 @@ class FetchTable:
     def join(self, item: Hashable) -> Event:
         """The completion event of ``item``'s pending fetch (to ``yield``)."""
         entry = self._pending[item]
-        entry.joiners += 1
         self.stats.joins += 1
+        if entry.event is None:
+            entry.event = Event(self.env)
         return entry.event
 
     def complete(self, item: Hashable, result) -> None:
@@ -177,29 +181,25 @@ class FetchTable:
         if entry is None:
             return
         self.stats.completions += 1
-        if not entry.event.triggered:
+        if entry.event is not None:
             entry.event.succeed(result)
 
     def fail(self, item: Hashable, exc: BaseException) -> None:
-        """The pending fetch died; wake joiners so they can fall back.
-
-        With no joiners the event is dropped untriggered — failing it would
-        crash the run through the environment's unhandled-failure check.
-        """
+        """The pending fetch died; wake joiners so they can fall back."""
         entry = self._pending.pop(item, None)
         if entry is None:
             return
         self.stats.failures += 1
         event = entry.event
-        if not event.triggered and event.callbacks:
+        if event is not None and event.callbacks:
             event.fail(exc)
 
 
 class ProxyNode:
     """One proxy of the tier: uplink + origin view + homed clients + shard.
 
-    The node owns the *mechanics* of its clients' request path (the
-    generator processes built by :meth:`request_handler`); the
+    The node owns the *mechanics* of its clients' request path (one
+    :class:`RequestPath` per arriving entity); the
     :class:`~repro.sim.simulation.Simulation` orchestrator owns the
     topology — which nodes exist, which clients home where, and which
     node's link carries a given fetch (``Simulation.route``).
@@ -350,197 +350,6 @@ class ProxyNode:
         )
 
     # ------------------------------------------------------------------
-    # The per-client request path (shared by both arrival drivers)
-    # ------------------------------------------------------------------
-    def request_handler(self, client_id: int, controller):
-        """Build ``handle_request(item)`` for one homed client.
-
-        The returned process function is closed over the client's
-        :class:`FetchTable`; all origin fetches go through ``sim.fetch`` so
-        the topology's routing decides which node's link carries them.
-        With cooperation enabled, a local miss first runs the remote-probe
-        path (see :meth:`Simulation.probe_targets`); without it, the miss
-        path is byte-for-byte the PR-4 demand path.
-        """
-        sim = self.sim
-        env = self.env
-        collector = self.collector
-        table = self.fetch_tables[client_id]
-        coop = sim.coop  # None unless cooperation is active for this tier
-
-        def prefetch_process(item: Hashable):
-            try:
-                result = yield sim.fetch(item, kind="prefetch", client=client_id)
-            except Exception as exc:
-                controller.on_fetch_failed(item)
-                # Wake any joiners before dropping the pending entry (they
-                # fall back to a demand fetch); with none, drop silently.
-                table.fail(item, exc)
-                return
-            controller.on_fetch_complete(
-                item,
-                now=env.now,
-                size=result.request.size,
-                prefetched=True,
-            )
-            collector.record_retrieval(
-                result.retrieval_time,
-                prefetch=True,
-                issued_at=result.request.issued_at,
-            )
-            table.complete(item, result)
-
-        def origin_demand(item: Hashable):
-            """Fetch from the origin into an already-registered entry."""
-            while True:
-                try:
-                    result = yield sim.fetch(
-                        item, kind="demand", client=client_id
-                    )
-                except NodeFailure:
-                    # The serving node crashed mid-transfer (fault
-                    # injection).  The fault runtime rerouted the item
-                    # before draining, so reissuing lands on the new
-                    # owner or the origin; the pending entry stays open
-                    # and its joiners are woken by the retry's outcome.
-                    continue
-                except Exception as exc:
-                    # Keep the table consistent (wake joiners) even though
-                    # an unhandled demand failure still surfaces loudly.
-                    table.fail(item, exc)
-                    raise
-                break
-            controller.on_fetch_complete(
-                item, now=env.now, size=result.request.size, prefetched=False
-            )
-            collector.record_retrieval(
-                result.retrieval_time, issued_at=result.request.issued_at
-            )
-            table.complete(item, result)
-
-        def demand_fetch(item: Hashable):
-            """Issue a demand fetch with a registered pending entry, so
-            concurrent requests for the same item join this transfer."""
-            table.register(item, "demand")
-            yield from origin_demand(item)
-
-        def remote_fetch(item: Hashable, targets):
-            """Cooperative miss path: probe peers, serve remote hit or fall
-            back to the origin — all under ONE ``remote`` pending entry.
-
-            The entry is registered *before* the probe departs, so a
-            concurrent request arriving mid-probe joins this resolution
-            (whatever it turns out to be) instead of racing a duplicate
-            probe or transfer.  Peer caches are consulted when the probe
-            *arrives* (after ``probe_latency``), not when it is sent —
-            a holder that evicts mid-flight is a probe miss.
-            """
-            t_probe = env.now
-            table.register(item, "remote")
-            yield env.timeout(coop.probe_latency)
-            server = None
-            for node in targets:
-                if node.holds(item):
-                    server = node
-                    break
-            if server is None:
-                collector.record_remote_probe(hit=False, issued_at=t_probe)
-                yield from origin_demand(item)
-                return
-            collector.record_remote_probe(hit=True, issued_at=t_probe)
-            try:
-                result = yield server.peer_serve(item, client=client_id)
-            except NodeFailure:
-                # The serving peer crashed mid-transfer (fault injection):
-                # fall back to the origin under the same pending entry, so
-                # joiners keep waiting on one resolution.
-                yield from origin_demand(item)
-                return
-            except Exception as exc:
-                table.fail(item, exc)
-                raise
-            if coop.admit_remote_hits:
-                # Admission: the requester caches the peer-served copy,
-                # tagged like a demand fetch (it served a real request).
-                controller.on_fetch_complete(
-                    item, now=env.now, size=result.request.size,
-                    prefetched=False,
-                )
-            collector.record_retrieval(
-                result.retrieval_time,
-                remote=True,
-                issued_at=result.request.issued_at,
-            )
-            table.complete(item, result)
-
-        def handle_request(item: Hashable):
-            t0 = env.now
-            size = sim.origin.size_of(item)
-            outcome = controller.on_user_access(item, now=t0, size=size)
-            if outcome.hit:
-                collector.record_request(
-                    hit=True,
-                    access_time=0.0,
-                    tagged_hit=outcome.kind == "tagged_hit",
-                    issued_at=t0,
-                    size=size,
-                )
-            elif item in table:
-                # A fetch for this item — demand or prefetch — is
-                # mid-flight: join it instead of paying for a second copy.
-                try:
-                    yield table.join(item)
-                except Exception:
-                    # The joined fetch failed: recover with a demand fetch
-                    # so the request still completes (and is still
-                    # measured).  The first joiner to wake registers the
-                    # recovery entry, so the other joiners (woken by the
-                    # same failure) join that one transfer.
-                    if item in table:
-                        yield table.join(item)
-                    else:
-                        yield from demand_fetch(item)
-                collector.record_request(
-                    hit=False, access_time=env.now - t0, issued_at=t0,
-                    size=size,
-                )
-            else:
-                targets = (
-                    sim.probe_targets(self, item) if coop is not None else ()
-                )
-                if targets:
-                    yield from remote_fetch(item, targets)
-                else:
-                    # No cooperation, or no peer to ask (owner is this
-                    # node): the PR-4 demand path, unchanged.
-                    yield from demand_fetch(item)
-                collector.record_request(
-                    hit=False, access_time=env.now - t0, issued_at=t0,
-                    size=size,
-                )
-            # Plan speculative fetches triggered by this request.  The
-            # planner consults the fetch table (via the controller), so an
-            # item already being fetched — by either kind — is not selected;
-            # scripted/legacy policies that select one anyway are skipped
-            # here (spawning would duplicate the pending transfer).
-            # The load estimate is routing-aware (sim.planning_load):
-            # under item-hash routing a planned prefetch traverses the
-            # item owner's link, not this node's, so throttling on the
-            # home link alone would misread the tier.  Only a policy that
-            # reads it evaluates it.
-            chosen = controller.plan(now=env.now, load=self.load_estimate)
-            fresh = [(it, p) for it, p in chosen if it not in table]
-            for it, _p in chosen:
-                if it in table:
-                    controller.on_plan_superseded(it)
-            collector.record_prefetch_issued(len(fresh))
-            for chosen_item, _prob in fresh:
-                table.register(chosen_item, "prefetch")
-                env.process(prefetch_process(chosen_item))
-
-        return handle_request
-
-    # ------------------------------------------------------------------
     # Synthetic arrival driver (trace replay runs through one merged
     # Simulation-level driver instead: recorded order IS time order)
     # ------------------------------------------------------------------
@@ -554,32 +363,254 @@ class ProxyNode:
         variant of ``schedule``.  ``first`` is the first ``(time, phase
         index)`` of the entity's :func:`~repro.workload.phases.arrival_times`
         iterator ``arrivals``, or None when it has none in the horizon.
-        Each arrival takes its item from its phase's variant, spawns the
-        request and arms the next arrival: one pending event, no driver
-        process.  Only an entity that arrives builds its request handler
-        and item iterators.
+        Only an entity that arrives builds its :class:`RequestPath`, which
+        one pending event drives (:meth:`RequestPath.arrive`).
         """
         if first is None:
             return
-        spawn = self.env.process
-        call_at = self.env.call_at
-        handle_request = self.request_handler(entity_id, controller)
-        items = tuple(source.stream() for source in sources)
-        variant_of_phase = schedule.variant_of_phase
-
-        def arrive(event):
-            # Open-loop arrivals: requests are spawned, not awaited, so the
-            # request rate is unaffected by congestion or prefetching —
-            # exactly the paper's §2.1 assumption.
-            spawn(handle_request(next(items[variant_of_phase[event.value]])))
-            arrival = next(arrivals, None)
-            if arrival is not None:
-                call_at(arrival[0], arrive, arrival[1])
-
-        call_at(first[0], arrive, first[1])
+        path = RequestPath(self, entity_id, controller)
+        path.items = tuple(source.stream() for source in sources)
+        path.arrivals = arrivals
+        path.variant_of_phase = schedule.variant_of_phase
+        self.env.call_at(first[0], path.arrive, first[1])
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"<ProxyNode {self.node_id} bw={self.bandwidth:g} "
             f"clients={self.clients}>"
         )
+
+
+class RequestPath:
+    """One entity's request path: its arrivals, requests and fetches.
+
+    Shared by both arrival drivers: the synthetic one calls :meth:`arrive`
+    (its bound method is the arrival event's callback), trace replay
+    calls :meth:`request`.  Its bound methods are the only callbacks, so
+    an arriving entity costs this one object, freed by reference counting
+    once nothing is pending for it.
+
+    A request runs inline.  A hit completes at once; a miss that must
+    wait is a generator run by :meth:`Environment.start
+    <repro.des.environment.Environment.start>`, which schedules no event
+    of its own.  All origin fetches go through ``sim.fetch`` so the
+    topology's routing decides which node's link carries them.  With
+    cooperation enabled, a local miss first runs the remote-probe path
+    (see :meth:`Simulation.probe_targets`).
+    """
+
+    __slots__ = (
+        "node", "sim", "env", "controller", "table", "collector", "entity_id",
+        # the synthetic driver's, set by ProxyNode.start_arrivals: an item
+        # iterator per variant, the arrival_times iterator, phase -> variant
+        "items", "arrivals", "variant_of_phase",
+    )
+
+    def __init__(self, node: ProxyNode, entity_id: int, controller) -> None:
+        self.node = node
+        self.sim = node.sim
+        self.env = node.env
+        self.controller = controller
+        self.table = node.fetch_tables[entity_id]
+        self.collector = node.collector
+        self.entity_id = entity_id
+
+    def arrive(self, event) -> None:
+        """One synthetic arrival in phase ``event.value``.
+
+        Open-loop: the request runs here and is never awaited, so the
+        request rate is unaffected by congestion or prefetching — the
+        paper's §2.1 assumption.  The next arrival is armed first, so at
+        equal times it precedes every event the request schedules (the
+        order the pinned outputs were recorded with).
+        """
+        item = next(self.items[self.variant_of_phase[event._value]])
+        arrival = next(self.arrivals, None)
+        if arrival is not None:
+            self.env.call_at(arrival[0], self.arrive, arrival[1])
+        self.request(item)
+
+    def request(self, item: Hashable) -> None:
+        """Serve one request for ``item``, starting now."""
+        t0 = self.env.now
+        size = self.sim.origin.size_of(item)
+        outcome = self.controller.on_user_access(item, now=t0, size=size)
+        if outcome.hit:
+            self.collector.record_request(
+                hit=True,
+                access_time=0.0,
+                tagged_hit=outcome.kind == "tagged_hit",
+                issued_at=t0,
+                size=size,
+            )
+            self._plan()
+        else:
+            self.env.start(self._miss(item, t0, size))
+
+    def _miss(self, item: Hashable, t0: float, size: float):
+        """The rest of a missed request: join, probe or fetch, then record
+        the request and plan."""
+        table = self.table
+        if item in table:
+            # A fetch for this item — demand or prefetch — is mid-flight:
+            # join it instead of paying for a second copy.
+            try:
+                yield table.join(item)
+            except Exception:
+                # The joined fetch failed: recover with a demand fetch so
+                # the request still completes (and is still measured).
+                # The first joiner to wake registers the recovery entry,
+                # so the other joiners (woken by the same failure) join
+                # that one transfer.
+                if item in table:
+                    yield table.join(item)
+                else:
+                    table.register(item, "demand")
+                    yield from self._origin_demand(item)
+        else:
+            sim = self.sim
+            targets = (
+                sim.probe_targets(self.node, item) if sim.coop is not None else ()
+            )
+            if targets:
+                yield from self._remote_fetch(item, targets)
+            else:
+                # No cooperation, or no peer to ask (owner is this node):
+                # a demand fetch under a registered pending entry, so
+                # concurrent requests for the item join this transfer.
+                table.register(item, "demand")
+                yield from self._origin_demand(item)
+        self.collector.record_request(
+            hit=False, access_time=self.env.now - t0, issued_at=t0, size=size
+        )
+        self._plan()
+
+    def _origin_demand(self, item: Hashable):
+        """Fetch from the origin into an already-registered entry."""
+        while True:
+            try:
+                result = yield self.sim.fetch(
+                    item, kind="demand", client=self.entity_id
+                )
+            except NodeFailure:
+                # The serving node crashed mid-transfer (fault injection).
+                # The fault runtime rerouted the item before draining, so
+                # reissuing lands on the new owner or the origin; the
+                # pending entry stays open and its joiners are woken by
+                # the retry's outcome.
+                continue
+            except Exception as exc:
+                # Keep the table consistent (wake joiners) even though an
+                # unhandled demand failure still surfaces loudly.
+                self.table.fail(item, exc)
+                raise
+            break
+        self.controller.on_fetch_complete(
+            item, now=self.env.now, size=result.request.size, prefetched=False
+        )
+        self.collector.record_retrieval(
+            result.retrieval_time, issued_at=result.request.issued_at
+        )
+        self.table.complete(item, result)
+
+    def _remote_fetch(self, item: Hashable, targets):
+        """Cooperative miss path: probe peers, serve remote hit or fall
+        back to the origin — all under ONE ``remote`` pending entry.
+
+        The entry is registered *before* the probe departs, so a
+        concurrent request arriving mid-probe joins this resolution
+        (whatever it turns out to be) instead of racing a duplicate probe
+        or transfer.  Peer caches are consulted when the probe *arrives*
+        (after ``probe_latency``), not when it is sent — a holder that
+        evicts mid-flight is a probe miss.
+        """
+        env = self.env
+        collector = self.collector
+        coop = self.sim.coop
+        t_probe = env.now
+        self.table.register(item, "remote")
+        yield env.timeout(coop.probe_latency)
+        server = None
+        for node in targets:
+            if node.holds(item):
+                server = node
+                break
+        if server is None:
+            collector.record_remote_probe(hit=False, issued_at=t_probe)
+            yield from self._origin_demand(item)
+            return
+        collector.record_remote_probe(hit=True, issued_at=t_probe)
+        try:
+            result = yield server.peer_serve(item, client=self.entity_id)
+        except NodeFailure:
+            # The serving peer crashed mid-transfer (fault injection): fall
+            # back to the origin under the same pending entry, so joiners
+            # keep waiting on one resolution.
+            yield from self._origin_demand(item)
+            return
+        except Exception as exc:
+            self.table.fail(item, exc)
+            raise
+        if coop.admit_remote_hits:
+            # Admission: the requester caches the peer-served copy, tagged
+            # like a demand fetch (it served a real request).
+            self.controller.on_fetch_complete(
+                item, now=env.now, size=result.request.size, prefetched=False
+            )
+        collector.record_retrieval(
+            result.retrieval_time, remote=True, issued_at=result.request.issued_at
+        )
+        self.table.complete(item, result)
+
+    def _plan(self) -> None:
+        """Plan the speculative fetches this request triggers.
+
+        The planner consults the fetch table (via the controller), so an
+        item already being fetched — by either kind — is not selected;
+        scripted/legacy policies that select one anyway are skipped here
+        (starting it would duplicate the pending transfer).  The load
+        estimate is routing-aware (``sim.planning_load``): under item-hash
+        routing a planned prefetch traverses the item owner's link, not
+        this node's.  Only a policy that reads it evaluates it.
+
+        The prefetches start from one URGENT event, not inline: requests
+        woken by one event all plan before any of their prefetches
+        reaches a link, so a load-reading policy sees the same offered
+        load whichever of them plans first.
+        """
+        controller = self.controller
+        table = self.table
+        chosen = controller.plan(now=self.env.now, load=self.node.load_estimate)
+        fresh = [item for item, _p in chosen if item not in table]
+        for item, _p in chosen:
+            if item in table:
+                controller.on_plan_superseded(item)
+        self.collector.record_prefetch_issued(len(fresh))
+        if fresh:
+            for item in fresh:
+                table.register(item, "prefetch")
+            self.env.call_soon(self._start_prefetches, fresh)
+
+    def _start_prefetches(self, event) -> None:
+        """Start the prefetches of one plan (``event.value``), in order."""
+        start = self.env.start
+        for item in event._value:
+            start(self._prefetch(item))
+
+    def _prefetch(self, item: Hashable):
+        """One prefetch, registered at planning time."""
+        try:
+            result = yield self.sim.fetch(item, kind="prefetch", client=self.entity_id)
+        except Exception as exc:
+            self.controller.on_fetch_failed(item)
+            # Wake any joiners before dropping the pending entry (they fall
+            # back to a demand fetch); with none, drop silently.
+            self.table.fail(item, exc)
+            return
+        self.controller.on_fetch_complete(
+            item, now=self.env.now, size=result.request.size, prefetched=True
+        )
+        self.collector.record_retrieval(
+            result.retrieval_time, prefetch=True, issued_at=result.request.issued_at
+        )
+        self.table.complete(item, result)

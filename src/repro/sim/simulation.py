@@ -46,6 +46,7 @@ import heapq
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import takewhile
 from operator import attrgetter
 from typing import Hashable, Iterator, Sequence
 
@@ -87,7 +88,7 @@ from repro.sim.metrics import (
     aggregate_snapshots,
     finalize_aggregate,  # unused here: perfbench/trace.py wraps it by module attribute
 )
-from repro.sim.node import ProxyNode
+from repro.sim.node import ProxyNode, RequestPath
 from repro.sim.parallel import (
     NodeShardPayload,
     get_default_node_backend,
@@ -793,7 +794,7 @@ class Simulation:
                 evictions=config.cache_policy.lower() == "random",
             )
         )
-        handlers: dict[int, object] = {}
+        paths: dict[int, RequestPath] = {}
         armed = []
         for (node_id, rep, label, cls, rate), pre in zip(entities, drawn):
             node = self.nodes[node_id]
@@ -835,11 +836,11 @@ class Simulation:
                 node, rep, label, source, node_rates[node_id]
             )
             if self.replay is not None:
-                handlers[rep] = node.request_handler(rep, controller)
+                paths[rep] = RequestPath(node, rep, controller)
             else:
                 armed.append((node, rep, label, rate, controller, sources, pre))
         if self.replay is not None:
-            self.env.process(self._trace_driver(handlers))
+            self.env.call_soon(self._start_replay, paths)
             return
 
         def arm(event):
@@ -853,24 +854,34 @@ class Simulation:
 
         self.env.call_at(0.0, arm)
 
-    def _trace_driver(self, handlers):
-        """Replay driver: one process walking the merged trace in recorded
-        order (which IS time order), dispatching each record to its
-        client's handler at the exact recorded timestamp.
+    def _start_replay(self, event) -> None:
+        """Replay driver: walk the merged trace in recorded order (which IS
+        time order), running each record's request on its client's
+        :class:`RequestPath` at the exact recorded timestamp.
 
         One merged walk — instead of a per-client demultiplex — is what
         keeps streaming replay constant-memory: only the record in flight
-        is ever held, no matter how long any one client goes idle.
+        is ever held, no matter how long any one client goes idle.  Each
+        record arms the next before its request runs (open loop, as in
+        the synthetic driver).
         """
-        env = self.env
+        paths = event.value
+        call_at = self.env.call_at
         duration = self.config.duration
-        for record in self.replay.iter_merged():
-            if record.time > duration:
-                break  # the run ends before this (and every later) record
-            yield env.at(record.time)
-            # Open-loop spawn, same as the synthetic driver: replayed
-            # arrivals are never delayed by congestion.
-            env.process(handlers[record.client](record.item))
+        records = takewhile(
+            lambda record: record.time <= duration, self.replay.iter_merged()
+        )
+
+        def arrive(event):
+            record = event.value
+            following = next(records, None)
+            if following is not None:
+                call_at(following.time, arrive, following)
+            paths[record.client].request(record.item)
+
+        first = next(records, None)
+        if first is not None:
+            call_at(first.time, arrive, first)
 
     # ------------------------------------------------------------------
     def run(self) -> SimulationOutput:

@@ -288,14 +288,18 @@ def generate_trace(
     timestamp (a k-way heap merge, so memory stays linear in the output).
     Arrivals follow :func:`~repro.workload.phases.arrival_times`, as in the
     live simulation; each item comes from the arrival phase's item variant,
-    pre-generated in blocks from a dedicated per-client stream.
+    pre-generated in blocks from a dedicated per-client stream.  Like a
+    simulation build, only a client with an arrival in the horizon builds
+    its item sources: streams are keyed by name, so the others' would go
+    unread.
     """
     if duration <= 0:
         raise ConfigurationError(f"duration must be > 0, got {duration!r}")
     schedule = spec.make_schedule()
     n = spec.num_clients
+    labels = [f"client{c}" for c in range(n)]
     streams = RandomStreams(seed)
-    streams.derive(entity_stream_names([f"client{c}" for c in range(n)], schedule))
+    streams.derive(entity_stream_names(labels, schedule, items=False))
     sizes = spec.make_sizes()
     size_rng = streams.get("sizes")
     variant_of_phase = schedule.variant_of_phase
@@ -303,14 +307,10 @@ def generate_trace(
         arrival_times(
             schedule,
             spec.rate_of(c),
-            streams.get(f"client{c}/arrivals"),
+            streams.get(f"{label}/arrivals"),
             horizon=duration,
         )
-        for c in range(n)
-    ]
-    item_streams = [
-        tuple(s.stream() for s in spec.make_phase_sources(c, streams, schedule))
-        for c in range(n)
+        for c, label in enumerate(labels)
     ]
     # Heap entries carry the arrival's phase, so the item comes from the
     # variant active when the request fires.
@@ -323,6 +323,15 @@ def generate_trace(
 
     for c in range(n):
         push_next(c)
+    arriving = sorted(c for _t, c, _phase in heap)
+    streams.derive(
+        entity_stream_names([labels[c] for c in arriving], schedule, arrivals=False)
+    )
+    item_streams: list = [None] * n
+    for c in arriving:
+        item_streams[c] = tuple(
+            s.stream() for s in spec.make_phase_sources(c, streams, schedule)
+        )
     records: list[TraceRecord] = []
     while heap:
         t, c, idx = heapq.heappop(heap)

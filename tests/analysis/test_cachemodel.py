@@ -270,6 +270,16 @@ class TestAnalyticPredictor:
         with pytest.raises(PredictionUnsupported, match="phased"):
             AnalyticPredictor().predict(config)
 
+    def test_prefetching_points_unsupported(self):
+        """The closed forms model demand traffic only: a prefetching point
+        must raise, not report the no-prefetch t̄ as if it were modelled."""
+        config = SimulationConfig(
+            workload=WorkloadSpec(num_clients=4, catalog_size=300),
+            bandwidth=80.0, cache_capacity=30, policy="threshold-dynamic",
+        )
+        with pytest.raises(PredictionUnsupported, match="threshold-dynamic"):
+            AnalyticPredictor().predict(config)
+
     def test_unknown_config_type_unsupported(self):
         with pytest.raises(PredictionUnsupported):
             AnalyticPredictor().predict(object())

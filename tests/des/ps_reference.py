@@ -12,10 +12,9 @@ imports it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 from repro.des.environment import Environment
-from repro.des.events import Event
 from repro.des.monitors import TimeWeightedValue
 from repro.errors import SimulationError
 
@@ -34,8 +33,10 @@ class ReferencePSJob:
     arrival_time: float
     tag: Any = None
     completion_time: float = float("nan")
+    on_done: "Callable[[ReferencePSJob, BaseException | None], None] | None" = field(
+        default=None, repr=False
+    )
     remaining: float = field(init=False)
-    done: "Event | None" = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         self.remaining = self.work
@@ -76,30 +77,36 @@ class ReferencePSServer:
         """Jobs currently in service."""
         return len(self._active)
 
-    def submit(self, work: float, tag: Any = None) -> Event:
-        """Enter a job; returns an event that succeeds with the finished
-        :class:`ReferencePSJob` at its completion time."""
+    def submit(
+        self,
+        work: float,
+        tag: Any,
+        on_done: Callable[[ReferencePSJob, BaseException | None], None],
+    ) -> ReferencePSJob:
+        """Enter a job; ``on_done(job, None)`` runs at its completion time
+        (at once, inside this call, for a zero-size job).  Returns the job."""
         if work < 0:
             raise SimulationError(f"job work must be >= 0, got {work!r}")
         self._advance()
-        job = ReferencePSJob(work=float(work), arrival_time=self.env.now, tag=tag)
-        job.done = Event(self.env)
+        job = ReferencePSJob(
+            work=float(work), arrival_time=self.env.now, tag=tag, on_done=on_done
+        )
         if work <= _WORK_EPSILON:
             # Zero-size job: completes immediately without touching shares.
             job.remaining = 0.0
             job.completion_time = self.env.now
             self._completed_jobs += 1
-            job.done.succeed(job)
-            return job.done
+            on_done(job, None)
+            return job
         self._active.append(job)
         self._jobs_in_system.set(len(self._active))
         self._reschedule()
-        return job.done
+        return job
 
     def fail_all(self, exc: BaseException) -> int:
         """Abort every in-service job at once (a crashed server).
 
-        Each job's done event is failed with ``exc``; work already served
+        Each job's ``on_done`` gets ``exc``; work already served
         stays counted (the bandwidth was genuinely consumed before the
         crash).  Returns the number of jobs aborted.
         """
@@ -109,7 +116,7 @@ class ReferencePSServer:
         self._jobs_in_system.set(0)
         for job in failed:
             job.completion_time = float("nan")
-            job.done.fail(exc)
+            job.on_done(job, exc)
         self._reschedule()
         return len(failed)
 
@@ -203,7 +210,6 @@ class ReferencePSServer:
             job.remaining = 0.0
             job.completion_time = self.env.now
             self._completed_jobs += 1
-            assert job.done is not None
-            job.done.succeed(job)
+            job.on_done(job, None)
         self._jobs_in_system.set(len(self._active))
         self._reschedule()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.des import Environment, Interrupt
+from repro.des import Environment
 from repro.errors import SimulationError
 
 
@@ -168,54 +168,119 @@ class TestProcessSemantics:
         assert env.run(env.process(proc(env))) == (5.0, "v")
 
 
-class TestInterrupts:
-    def test_interrupt_delivers_cause(self):
+class TestStart:
+    """``Environment.start``: a generator run as a task, with no events of
+    its own (the request path's primitive)."""
+
+    def test_runs_now_and_schedules_nothing_of_its_own(self):
         env = Environment()
+        log = []
 
-        def victim(env):
-            try:
-                yield env.timeout(10.0)
-            except Interrupt as interrupt:
-                return ("interrupted", env.now, interrupt.cause)
-
-        def attacker(env, target):
+        def task():
+            log.append(("start", env.now))
             yield env.timeout(2.0)
-            target.interrupt(cause="reason")
+            log.append(("end", env.now))
 
-        target = env.process(victim(env))
-        env.process(attacker(env, target))
-        assert env.run(target) == ("interrupted", 2.0, "reason")
-
-    def test_interrupted_process_can_rewait(self):
-        env = Environment()
-
-        def victim(env):
-            timer = env.timeout(10.0)
-            try:
-                yield timer
-            except Interrupt:
-                pass
-            yield timer  # original event still valid
-            return env.now
-
-        def attacker(env, target):
-            yield env.timeout(2.0)
-            target.interrupt()
-
-        target = env.process(victim(env))
-        env.process(attacker(env, target))
-        assert env.run(target) == 10.0
-
-    def test_cannot_interrupt_dead_process(self):
-        env = Environment()
-
-        def quick(env):
-            yield env.timeout(1.0)
-
-        p = env.process(quick(env))
+        env.start(task())
+        assert log == [("start", 0.0)]  # ran inside start()
+        assert env._eid == 1  # only the timeout it yielded
         env.run()
-        with pytest.raises(SimulationError):
-            p.interrupt()
+        assert log == [("start", 0.0), ("end", 2.0)]
+        assert env._eid == 1  # finishing scheduled nothing
+
+    def test_generator_finishing_at_once_schedules_nothing(self):
+        env = Environment()
+        log = []
+
+        def task():
+            log.append(env.now)
+            return
+            yield  # pragma: no cover - makes this a generator
+
+        env.start(task())
+        assert log == [0.0]
+        assert env._eid == 0 and len(env) == 0
+
+    def test_exception_escapes_run_at_its_instant(self):
+        env = Environment()
+
+        def task():
+            yield env.timeout(2.0)
+            raise ValueError("boom")
+
+        env.start(task())
+        later = env.timeout(2.0)  # queued behind the task's timeout
+        env.timeout(5.0)
+        with pytest.raises(ValueError, match="boom"):
+            env.run()
+        assert env.now == 2.0
+        assert not later.processed
+
+    def test_thrown_node_failure_is_handled_by_the_generator(self):
+        from repro.errors import NodeFailure
+
+        env = Environment()
+        fetch = env.event()
+        log = []
+
+        def task():
+            try:
+                yield fetch
+            except NodeFailure as exc:
+                log.append(("failed over", env.now, str(exc)))
+                value = yield env.timeout(1.0, value="retry")
+                log.append((value, env.now))
+
+        env.start(task())
+        fetch.fail(NodeFailure("node 1 down"), delay=3.0)
+        env.run()  # handled: nothing escapes
+        assert log == [("failed over", 3.0, "node 1 down"), ("retry", 4.0)]
+
+    def test_yield_already_processed_event_resumes_at_current_time(self):
+        env = Environment()
+        early = env.timeout(1.0, value="v")
+        log = []
+
+        def task():
+            yield env.timeout(5.0)  # early processes meanwhile
+            value = yield early  # already processed
+            log.append((env.now, value))
+
+        env.start(task())
+        env.run()
+        assert log == [(5.0, "v")]
+
+    def test_yielding_non_event_raises(self):
+        env = Environment()
+
+        def task():
+            yield 42
+
+        with pytest.raises(SimulationError, match="must yield Event"):
+            env.start(task())
+
+
+class TestCallSoon:
+    def test_runs_before_same_time_normal_events(self):
+        env = Environment()
+        log = []
+        env.call_at(0.0, lambda ev: log.append("normal"))
+        env.call_soon(lambda ev: log.append(ev.value), "urgent")
+        env.run()
+        assert log == ["urgent", "normal"]
+
+    def test_after_urgent_events_already_queued(self):
+        env = Environment()
+        log = []
+
+        def proc():
+            log.append("process")
+            yield env.timeout(0.0)
+
+        env.process(proc())  # its initialising event is URGENT too
+        env.call_soon(lambda ev: log.append("soon"))
+        env.run()
+        assert log == ["process", "soon"]
 
 
 class TestRunUntilEvent:

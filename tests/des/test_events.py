@@ -1,9 +1,9 @@
-"""Tests for event primitives and condition composition."""
+"""Tests for event primitives."""
 
 import pytest
 
 from repro.des import Environment
-from repro.des.events import AllOf, AnyOf, Event
+from repro.des.events import Event
 from repro.errors import SimulationError
 
 
@@ -49,62 +49,3 @@ class TestEventLifecycle:
             return (env.now, value)
 
         assert env.run(env.process(waiter(env, ev))) == (5.0, "late")
-
-
-class TestAllOf:
-    def test_waits_for_all(self):
-        env = Environment()
-
-        def proc(env):
-            t1 = env.timeout(1.0, value="a")
-            t2 = env.timeout(3.0, value="b")
-            results = yield (t1 & t2)
-            return (env.now, sorted(results.values()))
-
-        assert env.run(env.process(proc(env))) == (3.0, ["a", "b"])
-
-    def test_empty_condition_trivially_true(self):
-        env = Environment()
-        cond = AllOf(env, [])
-        assert cond.triggered
-
-    def test_failure_propagates(self):
-        env = Environment()
-
-        def failer(env):
-            yield env.timeout(1.0)
-            raise RuntimeError("child failed")
-
-        def proc(env):
-            p = env.process(failer(env))
-            t = env.timeout(10.0)
-            yield (p & t)
-
-        with pytest.raises(RuntimeError, match="child failed"):
-            env.run(env.process(proc(env)))
-
-
-class TestAnyOf:
-    def test_fires_on_first(self):
-        env = Environment()
-
-        def proc(env):
-            fast = env.timeout(1.0, value="fast")
-            slow = env.timeout(100.0, value="slow")
-            results = yield (fast | slow)
-            return (env.now, list(results.values()))
-
-        assert env.run(env.process(proc(env))) == (1.0, ["fast"])
-
-    def test_mixed_env_rejected(self):
-        env1, env2 = Environment(), Environment()
-        with pytest.raises(SimulationError):
-            AnyOf(env1, [env1.event(), env2.event()])
-
-    def test_already_triggered_component(self):
-        env = Environment()
-        done = env.event()
-        done.succeed("x")
-        env.run()  # process the event
-        cond = AnyOf(env, [done, env.event()])
-        assert cond.triggered

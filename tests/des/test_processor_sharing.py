@@ -11,18 +11,11 @@ def submit_and_collect(env, server, jobs):
     """Submit (time, work) jobs; returns list of finished PSJob objects."""
     finished = []
 
-    def submitter(env):
-        last = 0.0
-        for arrival, work in jobs:
-            yield env.timeout(arrival - last)
-            last = arrival
-            env.process(waiter(env, work))
+    def arrive(event):
+        server.submit(event.value, None, lambda job, exc: finished.append(job))
 
-    def waiter(env, work):
-        job = yield server.submit(work)
-        finished.append(job)
-
-    env.process(submitter(env))
+    for arrival, work in jobs:
+        env.call_at(arrival, arrive, work)
     env.run()
     return finished
 
@@ -93,7 +86,7 @@ class TestExactSharing:
             ProcessorSharingServer(env, capacity=0.0)
         server = ProcessorSharingServer(env, capacity=1.0)
         with pytest.raises(SimulationError):
-            server.submit(-1.0)
+            server.submit(-1.0, None, None)
 
 
 class TestTheoryValidation:
@@ -111,11 +104,10 @@ class TestTheoryValidation:
         def source(env):
             while True:
                 yield env.timeout(arrival_rng.exponential(1.0 / lam))
-                env.process(job(env))
+                server.submit(size_rng.exponential(1.0), None, record)
 
-        def job(env):
-            j = yield server.submit(size_rng.exponential(1.0))
-            tally.record(j.response_time)
+        def record(job, exc):
+            tally.record(job.response_time)
 
         env.process(source(env))
         env.run(until=20000.0)
@@ -134,11 +126,10 @@ class TestTheoryValidation:
         def source(env):
             while True:
                 yield env.timeout(arrival_rng.exponential(2.0))  # rho = 0.5
-                env.process(job(env))
+                server.submit(1.0, None, record)
 
-        def job(env):
-            j = yield server.submit(1.0)
-            tally.record(j.response_time)
+        def record(job, exc):
+            tally.record(job.response_time)
 
         env.process(source(env))
         env.run(until=20000.0)
@@ -154,10 +145,7 @@ class TestTheoryValidation:
         def source(env):
             while True:
                 yield env.timeout(arrival_rng.exponential(2.0))
-                env.process(job(env))
-
-        def job(env):
-            yield server.submit(size_rng.exponential(1.0))
+                server.submit(size_rng.exponential(1.0), None, lambda job, exc: None)
 
         env.process(source(env))
         env.run(until=20000.0)

@@ -27,8 +27,8 @@ def drive(server_cls, capacity, jobs, fails=(), initial_time=0.0):
     """Feed ``jobs`` ((gap, work) pairs) to a fresh server and call
     ``fail_all`` at each time in ``fails``.
 
-    Returns the outcome of every job in the order their events were
-    processed, as (job index, "ok" | "failed", time), and the server.
+    Returns the outcome of every job in the order the server reported
+    them, as (job index, "ok" | "failed", time), and the server.
     """
     env = Environment(initial_time=initial_time)
     server = server_cls(env, capacity)
@@ -37,12 +37,12 @@ def drive(server_cls, capacity, jobs, fails=(), initial_time=0.0):
     def arrive(event):
         index, work = event.value
 
-        def record(done):
-            if done.ok:
-                assert done.value.completion_time == env.now
-            log.append((index, "ok" if done.ok else "failed", env.now))
+        def record(job, exc):
+            if exc is None:
+                assert job.completion_time == env.now
+            log.append((index, "ok" if exc is None else "failed", env.now))
 
-        server.submit(work).callbacks.append(record)
+        server.submit(work, None, record)
 
     t = initial_time
     for index, (gap, work) in enumerate(jobs):
@@ -198,12 +198,12 @@ def test_idle_server_restarts_exactly():
     server = ProcessorSharingServer(env, capacity)
     for gap, work in busy:
         env.run(until=env.now + gap)
-        server.submit(work)
+        server.submit(work, None, lambda job, exc: None)
     env.run()
     for work in rng.exponential(1.0, 20).tolist():
         assert server.num_active == 0
         arrival = env.now + 1.0
         env.run(until=arrival)
-        done = server.submit(work)
+        job = server.submit(work, None, lambda job, exc: None)
         env.run()
-        assert done.value.completion_time == arrival + work / capacity
+        assert job.completion_time == arrival + work / capacity

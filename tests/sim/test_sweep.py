@@ -10,6 +10,8 @@ Contracts (mirroring ``test_parallel.py`` for the single-point engine):
   identical results.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -356,6 +358,21 @@ class TestAnalyticScreen:
         assert full.analytic_keys() == ()
         assert full.predictions == {}
         assert set(full.provenance.values()) == {"simulated"}
+
+    def test_prefetching_point_is_simulated(self):
+        # The predictor has no model of prefetching, so the screen must
+        # simulate such a point instead of filling it analytically.
+        points = _screen_grid()
+        prefetching = points[3]
+        prefetching.config = dataclasses.replace(
+            prefetching.config, policy="threshold-dynamic"
+        )
+        screened = SweepExecutor(jobs=1).run(
+            points, screen=AnalyticScreen(keep=0.2, by="cap")
+        )
+        assert screened.analytic_keys()  # the rest of the grid was screened
+        assert screened.predictions[prefetching.key] is None
+        assert screened.provenance[prefetching.key] == "simulated"
 
     def test_screened_run_uses_and_feeds_the_cache(self, tmp_path):
         points = _screen_grid()

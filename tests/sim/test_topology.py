@@ -468,8 +468,9 @@ class TestFetchTableFuzz:
     Pins the table's docstring invariants under adversarial schedules:
     every registered fetch resolves exactly once, every joiner wakes
     exactly once (success or failure — never orphaned), an item never has
-    two concurrent pending entries, and resolving an absent item is a
-    no-op.  The invariants are kind-blind, so the cooperative ``remote``
+    two concurrent pending entries, resolving an absent item is a no-op,
+    and an entry has a join event iff someone joined it (resolving one
+    nobody joined schedules nothing).  The invariants are kind-blind, so the cooperative ``remote``
     kind (PR 5) is fuzzed through the same schedule as the original two.
     Pre-refactor, the equivalent ``pending`` dict in the monolith
     violated the first two under exactly these interleavings (overwritten
@@ -487,11 +488,28 @@ class TestFetchTableFuzz:
         items = [f"item{i}" for i in range(6)]
         woken = []  # (waiter id, outcome)
         spawned = {"waiters": 0}
+        joined = set()  # pending items someone joined
+
+        def check_join_events():
+            for pending in table.pending_items():
+                has_event = table.get(pending).event is not None
+                assert has_event == (pending in joined), pending
+
+        def resolve(item, outcome):
+            before = env._eid
+            if outcome is None:
+                table.complete(item, ("payload", item))
+            else:
+                table.fail(item, outcome)
+            if item not in joined:
+                assert env._eid == before  # no joiner: no table event
+            joined.discard(item)
 
         def waiter(item, wid):
             if item not in table:
                 woken.append((wid, "gone"))
                 return
+            joined.add(item)
             try:
                 result = yield table.join(item)
             except RuntimeError:
@@ -507,9 +525,9 @@ class TestFetchTableFuzz:
                 op = rng.random()
                 if item in table:
                     if op < 0.40:
-                        table.complete(item, ("payload", item))
+                        resolve(item, None)
                     elif op < 0.65:
-                        table.fail(item, RuntimeError(f"fetch {item} died"))
+                        resolve(item, RuntimeError(f"fetch {item} died"))
                     else:
                         spawned["waiters"] += 1
                         env.process(waiter(item, spawned["waiters"]))
@@ -532,13 +550,15 @@ class TestFetchTableFuzz:
                             table.stats.completions,
                             table.stats.failures,
                         ) == before
+                check_join_events()
             # drain: every still-pending fetch resolves before shutdown
             yield env.timeout(0.01)
+            check_join_events()
             for item in list(table.pending_items()):
                 if rng.random() < 0.5:
-                    table.complete(item, ("payload", item))
+                    resolve(item, None)
                 else:
-                    table.fail(item, RuntimeError("shutdown"))
+                    resolve(item, RuntimeError("shutdown"))
 
         env.process(driver())
         env.run()
