@@ -4,8 +4,9 @@ Three measurements pin the PR-2 hot paths (numbers recorded in
 PERFORMANCE.md):
 
 * a 12-point full-system grid (bandwidth × cache policy) end-to-end
-  through :class:`SweepExecutor`, checked bit-identical against the
-  per-point replication loop it replaces;
+  through :class:`SweepExecutor`, checked bit-identical against a plain
+  per-point serial seed loop (the runners' loop before they became
+  one-point grids through the engine);
 * a warm re-run of the same grid against the on-disk result cache, which
   must skip every simulation;
 * the vectorized workload generators against their per-draw equivalents.
@@ -16,11 +17,13 @@ Run:  pytest benchmarks/test_bench_sweep.py --benchmark-only -s
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 
 import numpy as np
 
 from repro.sim import SimulationConfig, SweepExecutor, SweepPoint
-from repro.sim.runner import run_simulation_replications
+from repro.sim.simulation import run_simulation
+from repro.sim.sweep import _aggregate_simulation_outputs
 from repro.workload.markov_source import MarkovChainSource
 from repro.workload.zipf import ZipfCatalog
 from repro.workload.sessions import WorkloadSpec
@@ -62,6 +65,16 @@ def _grid_points() -> list[SweepPoint]:
     ]
 
 
+def _per_point_loop(config: SimulationConfig):
+    """One point's replications as a plain serial loop over its seeds."""
+    return _aggregate_simulation_outputs(
+        [
+            run_simulation(replace(config, seed=config.seed + 1000 * i))
+            for i in range(REPLICATIONS)
+        ]
+    )
+
+
 def test_bench_sweep_engine_vs_per_point_loop(benchmark):
     """12-point grid through one pool vs the per-point replication loop."""
     result = benchmark.pedantic(
@@ -70,14 +83,9 @@ def test_bench_sweep_engine_vs_per_point_loop(benchmark):
     )
     assert set(result.cache_misses) == {p.key for p in _grid_points()}
 
-    # Reference: the pre-sweep shape — one runner call per point.
+    # Reference: the pre-sweep shape — one seed loop per point.
     t0 = time.perf_counter()
-    reference = {
-        pt.key: run_simulation_replications(
-            pt.config, replications=REPLICATIONS, jobs=1
-        )
-        for pt in _grid_points()
-    }
+    reference = {pt.key: _per_point_loop(pt.config) for pt in _grid_points()}
     loop_seconds = time.perf_counter() - t0
 
     # Bit-identity with the per-point path (the engine's core contract).

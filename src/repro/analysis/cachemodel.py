@@ -440,7 +440,7 @@ class AnalyticPrediction:
 
     Field names deliberately mirror :class:`~repro.sim.metrics.
     SimulationMetrics` so screened sweeps can expose analytic points
-    through the same :class:`~repro.sim.runner.ReplicatedResult` metric
+    through the same :class:`~repro.sim.sweep.ReplicatedResult` metric
     interface the simulated points use.
     """
 

@@ -31,7 +31,7 @@ import sys
 from pathlib import Path
 
 from repro.experiments import all_experiments, get_experiment
-from repro.sim.sweep import SweepExecutor, sweep_session
+from repro.sim.sweep import SweepExecutor
 
 __all__ = ["main", "build_parser"]
 
@@ -313,7 +313,9 @@ def _record_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_one(experiment_id: str, args: argparse.Namespace) -> str:
+def _run_one(
+    experiment_id: str, args: argparse.Namespace, engine: SweepExecutor
+) -> str:
     experiment = get_experiment(experiment_id)
     if args.trace is not None and hasattr(experiment, "trace_path"):
         experiment.trace_path = args.trace
@@ -329,7 +331,7 @@ def _run_one(experiment_id: str, args: argparse.Namespace) -> str:
         experiment.scenario_path = args.scenario_file
     if args.kpi and hasattr(experiment, "show_kpis"):
         experiment.show_kpis = True
-    result = experiment.run(fast=args.fast, jobs=args.jobs)
+    result = experiment.run(fast=args.fast, engine=engine)
     report = result.render(plots=not args.no_plots)
     if args.csv_dir is not None:
         args.csv_dir.mkdir(parents=True, exist_ok=True)
@@ -400,24 +402,22 @@ def main(argv: list[str] | None = None) -> int:
     warn_if_unconsumed(
         args.faults, "fault_schedule", "--faults", "failure-recovery"
     )
-    # --sweep routes every experiment's grids through one session engine
-    # with an on-disk result cache; --jobs sizes its shared pool (the
-    # engine inherits the session default set by Experiment.run).
-    engine = (
-        SweepExecutor(cache_dir=Path(args.sweep)) if args.sweep is not None else None
-    )
-    # --node-backend/--node-workers set the session default every
-    # simulation build consults (mirroring how --jobs reaches replication
-    # runs); a bare --node-workers implies the parallel backend.
-    from repro.sim.parallel import node_backend_session
-
+    # One engine runs every grid of every target: --jobs sizes its pool,
+    # --sweep attaches the on-disk result cache, and --node-backend /
+    # --node-workers set the node backend of the simulations it runs (a
+    # bare --node-workers implies the parallel backend).
     node_backend = args.node_backend
-    if node_backend is None and args.node_workers is not None:
-        node_backend = "parallel"
+    if node_backend is None:
+        node_backend = "serial" if args.node_workers is None else "parallel"
+    engine = SweepExecutor(
+        args.jobs,
+        cache_dir=None if args.sweep is None else Path(args.sweep),
+        node_backend=node_backend,
+        node_workers=args.node_workers,
+    )
     if args.profile is not None:
-        # Profile exactly the experiment execution (not argument parsing
-        # or report printing of other runs): everything inside the sweep
-        # session, which is where all simulation time goes.
+        # Profile exactly the experiment execution (not argument parsing),
+        # which is where all simulation time goes.
         import cProfile
         import pstats
 
@@ -427,17 +427,15 @@ def main(argv: list[str] | None = None) -> int:
         # near-empty profile silently attributed to "the run" sends the
         # reader chasing phantom overhead.
         worker_flags = []
-        if args.jobs is not None and args.jobs != 1:
+        if engine.jobs > 1:
             worker_flags.append(f"--jobs {args.jobs}")
         if node_backend == "parallel":
             worker_flags.append("--node-backend parallel")
         profiler = cProfile.Profile()
         profiler.enable()
         try:
-            with node_backend_session(node_backend, args.node_workers):
-                with sweep_session(engine):
-                    for target in targets:
-                        print(_run_one(target, args))
+            for target in targets:
+                print(_run_one(target, args, engine))
         finally:
             profiler.disable()
             profiler.dump_stats(args.profile)
@@ -458,11 +456,9 @@ def main(argv: list[str] | None = None) -> int:
                 file=sys.stderr,
             )
     else:
-        with node_backend_session(node_backend, args.node_workers):
-            with sweep_session(engine):
-                for target in targets:
-                    print(_run_one(target, args))
-    if engine is not None:
+        for target in targets:
+            print(_run_one(target, args, engine))
+    if args.sweep is not None:
         print(
             f"sweep cache {args.sweep}: {engine.cache_hit_count} point(s) served "
             f"from cache, {engine.cache_miss_count} simulated"

@@ -216,37 +216,18 @@ class Environment:
         heappush(self._queue, (self._now + delay, NORMAL, eid, event))
         return event
 
-    def at(self, time: float, value: Any = None) -> Timeout:
-        """An event firing at *absolute* simulation time ``time``.
-
-        Unlike ``timeout(time - env.now)``, the queue entry carries ``time``
-        itself, so a schedule built from absolute timestamps (e.g. trace
-        replay) reproduces them exactly instead of accumulating float error
-        through repeated ``now + delay`` round trips.
-        """
-        if time < self._now:
-            raise SimulationError(
-                f"at({time!r}) is in the past (now={self._now!r})"
-            )
-        event = Timeout.__new__(Timeout)
-        event.env = self
-        event.callbacks = []
-        event._ok = True
-        event._value = value
-        self._eid = eid = self._eid + 1
-        heappush(self._queue, (time, NORMAL, eid, event))
-        return event
-
     def call_at(self, time: float, callback, value: Any = None) -> Timeout:
         """Schedule ``callback(event)`` directly at absolute time ``time``.
 
-        The primitive behind the synthetic arrival driver: each arrival
-        is pushed onto the heap with its callback already attached, so
-        firing it costs one callback call — no generator resume, no
-        ``Process`` machinery per event.  ``value`` rides on the event
-        (``event.value``) for the callback to consume.  The queue entry is
-        identical to :meth:`at`'s, so ordering against every other event
-        is unchanged.
+        The primitive behind the arrival drivers: each arrival is pushed
+        onto the heap with its callback already attached, so firing it
+        costs one callback call — no generator resume, no ``Process``
+        machinery per event.  ``value`` rides on the event
+        (``event.value``) for the callback to consume.  The queue entry
+        carries ``time`` itself, so a schedule built from absolute
+        timestamps (trace replay) reproduces them exactly instead of
+        accumulating float error through repeated ``now + delay`` round
+        trips.  A process can wait on the returned event like any other.
         """
         if time < self._now:
             raise SimulationError(

@@ -135,8 +135,8 @@ class Event:
 
 class Timeout(Event):
     """An event that fires a given delay after creation, carrying its value
-    from the start (built by :meth:`Environment.timeout`, :meth:`~Environment.at`
-    and :meth:`~Environment.call_at`)."""
+    from the start (built by :meth:`Environment.timeout` and
+    :meth:`~Environment.call_at`)."""
 
     __slots__ = ()
 

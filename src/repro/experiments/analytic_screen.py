@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.experiments.base import Experiment, ExperimentResult, register
 from repro.sim.config import SimulationConfig
-from repro.sim.sweep import AnalyticScreen, SweepPoint
+from repro.sim.sweep import AnalyticScreen, SweepExecutor, SweepPoint
 from repro.workload.sessions import WorkloadSpec
 
 __all__ = ["AnalyticScreenExperiment"]
@@ -71,7 +71,7 @@ class AnalyticScreenExperiment(Experiment):
                     )
         return points
 
-    def _execute(self, *, fast: bool = False) -> ExperimentResult:
+    def _execute(self, *, fast: bool, engine: SweepExecutor) -> ExperimentResult:
         result = ExperimentResult(
             experiment_id=self.experiment_id,
             title="Analytically-screened hybrid sweep",
@@ -79,7 +79,7 @@ class AnalyticScreenExperiment(Experiment):
         points = self._points(fast=fast)
         keep = self.screen_keep if self.screen_keep is not None else 0.25
         screen = AnalyticScreen(keep=keep, x="x", by="series")
-        screened = self.engine.run(points, screen=screen)
+        screened = engine.run(points, screen=screen)
 
         simulated = screened.simulated_keys()
         analytic = screened.analytic_keys()
@@ -110,7 +110,7 @@ class AnalyticScreenExperiment(Experiment):
         if analytic:
             stride = max(1, len(analytic) // self.spot_checks)
             sample_keys = list(analytic[::stride][: self.spot_checks])
-        spot = self.engine.run(
+        spot = engine.run(
             [screened.point(k) for k in sample_keys]
         ) if sample_keys else None
         rows = []

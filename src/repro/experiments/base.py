@@ -2,16 +2,18 @@
 
 Every paper figure and every ablation is an :class:`Experiment` exposing
 
-* ``run(fast=..., jobs=...)`` → an :class:`ExperimentResult` with the raw
-  sweeps/rows plus the run record (worker count, wall-clock),
+* ``run(fast=..., engine=...)`` → an :class:`ExperimentResult` with the
+  raw sweeps/rows plus the run record (worker count, wall-clock),
 * a registry entry so the CLI (``python -m repro <id>``) and the benchmark
   suite can enumerate them.
 
 ``fast=True`` shrinks simulation durations/replications so the benchmark
 suite stays minutes-fast; closed-form experiments ignore it (they are exact
-either way).  ``jobs`` sets the parallel-replication worker count for every
-replicated run inside the experiment (results are bit-identical to serial;
-see :mod:`repro.sim.parallel`).
+either way).  ``engine`` is the :class:`~repro.sim.sweep.SweepExecutor`
+every simulated grid of the experiment runs through: its ``jobs``, result
+cache and node backend decide how the grids execute, never what they
+return (results are bit-identical to serial).  Without one, the run gets a
+fresh serial engine with no cache.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Callable, Mapping, Sequence
 
 from repro.analysis.series import SweepResult
 from repro.errors import ConfigurationError
-from repro.sim.parallel import get_default_jobs, replication_jobs
+from repro.sim.sweep import CACHE_SCHEMA_VERSION, SweepExecutor
 
 __all__ = ["Experiment", "ExperimentResult", "register", "get_experiment", "all_experiments"]
 
@@ -102,51 +104,30 @@ class Experiment(ABC):
     #: one-line description
     description: str = ""
 
-    @property
-    def engine(self):
-        """The session sweep engine every grid in ``_execute`` runs through.
-
-        Configured by the CLI (``--sweep`` enables the on-disk result
-        cache, ``--jobs`` sizes the shared pool); defaults to an uncached
-        serial engine, so experiments are unchanged standalone.
-        """
-        from repro.sim.sweep import current_engine
-
-        return current_engine()
-
-    def run(self, *, fast: bool = False, jobs: int | None = None) -> ExperimentResult:
+    def run(
+        self, *, fast: bool = False, engine: SweepExecutor | None = None
+    ) -> ExperimentResult:
         """Execute and return results.
 
-        ``fast`` trims stochastic workloads.  ``jobs`` sets the parallel
-        replication worker count for every replicated run inside the
-        experiment (None → session default; results are identical either
-        way).  The returned result records the effective worker count and
-        total wall-clock.
+        ``fast`` trims stochastic workloads.  ``engine`` runs every grid
+        inside the experiment (None → a fresh serial engine with no
+        cache), so its ``hash_log`` is the audit trail of this run's sweep
+        points.  The returned result records the engine's worker count and
+        the total wall-clock.
         """
-        from repro.sim.sweep import (
-            CACHE_SCHEMA_VERSION,
-            current_engine,
-            sweep_session,
-        )
-
         started = time.perf_counter()
-        # Pin ONE engine for the whole run (current_engine() returns a
-        # fresh default engine per call when no session engine is set):
-        # every grid inside _execute shares it, so its hash_log is the
-        # complete audit trail of this run's sweep points.
-        engine = current_engine()
+        if engine is None:
+            engine = SweepExecutor()
         log_start = len(engine.hash_log)
-        with replication_jobs(jobs), sweep_session(engine):
-            effective_jobs = get_default_jobs()
-            result = self._execute(fast=fast)
-        result.jobs = effective_jobs
+        result = self._execute(fast=fast, engine=engine)
+        result.jobs = engine.jobs
         result.wall_clock_seconds = time.perf_counter() - started
         result.scenario_hashes = dict(engine.hash_log[log_start:])
         result.cache_schema_version = CACHE_SCHEMA_VERSION
         return result
 
     @abstractmethod
-    def _execute(self, *, fast: bool = False) -> ExperimentResult:
+    def _execute(self, *, fast: bool, engine: SweepExecutor) -> ExperimentResult:
         """Build the result (subclass hook; call :meth:`run`, not this)."""
 
 

@@ -43,6 +43,7 @@ from dataclasses import replace
 
 from repro.experiments.base import Experiment, ExperimentResult, register
 from repro.scenario import expand_points, parse_scenario
+from repro.sim.sweep import SweepExecutor
 
 __all__ = ["CooperativeCachingExperiment"]
 
@@ -104,7 +105,7 @@ class CooperativeCachingExperiment(Experiment):
     def _cache_sizes(self, *, fast: bool) -> tuple[int, ...]:
         return (16, 40) if fast else (16, 40, 80)
 
-    def _execute(self, *, fast: bool = False) -> ExperimentResult:
+    def _execute(self, *, fast: bool, engine: SweepExecutor) -> ExperimentResult:
         result = ExperimentResult(
             experiment_id=self.experiment_id,
             title="Cooperative caching: remote hits vs mode x proxies x cache",
@@ -118,7 +119,7 @@ class CooperativeCachingExperiment(Experiment):
         modes = self._modes()
         counts = self._counts(fast=fast)
         cache_sizes = self._cache_sizes(fast=fast)
-        outcomes = self.engine.run(points)
+        outcomes = engine.run(points)
 
         mid_cache = cache_sizes[len(cache_sizes) // 2]
         # The figure panel fixes the tier at its largest swept size (the

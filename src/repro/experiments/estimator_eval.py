@@ -28,6 +28,7 @@ from dataclasses import replace
 from repro.experiments.base import Experiment, ExperimentResult, register
 from repro.sim.config import SimulationConfig
 from repro.sim.simulation import run_simulation
+from repro.sim.sweep import SweepExecutor
 from repro.workload.sessions import WorkloadSpec
 
 __all__ = ["EstimatorEvalExperiment"]
@@ -81,7 +82,7 @@ class EstimatorEvalExperiment(Experiment):
             n_f,
         ]
 
-    def _execute(self, *, fast: bool = False) -> ExperimentResult:
+    def _execute(self, *, fast: bool, engine: SweepExecutor) -> ExperimentResult:
         result = ExperimentResult(
             experiment_id=self.experiment_id,
             title="h' estimator accuracy while prefetching runs",

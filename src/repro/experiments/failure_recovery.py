@@ -36,6 +36,7 @@ from repro.experiments.base import Experiment, ExperimentResult, register
 from repro.network.topology import CooperationConfig, TopologyConfig
 from repro.sim.config import SimulationConfig
 from repro.sim.faults import FaultEvent, FaultSchedule, FaultSegment
+from repro.sim.sweep import SweepExecutor
 from repro.workload.sessions import WorkloadSpec
 
 __all__ = ["FailureRecoveryExperiment"]
@@ -144,7 +145,7 @@ class FailureRecoveryExperiment(Experiment):
             prev_t, prev_r, prev_h, prev_a, prev_o = t, r, h, a, o
         return tuple(segments)
 
-    def _execute(self, *, fast: bool = False) -> ExperimentResult:
+    def _execute(self, *, fast: bool, engine: SweepExecutor) -> ExperimentResult:
         from repro.sim.simulation import Simulation
 
         result = ExperimentResult(

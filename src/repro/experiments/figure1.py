@@ -19,6 +19,7 @@ import numpy as np
 from repro.core.parameters import SystemParameters
 from repro.core.sweeps import threshold_vs_size
 from repro.experiments.base import Experiment, ExperimentResult, register
+from repro.sim.sweep import SweepExecutor
 
 __all__ = ["Figure1Experiment", "PAPER_BANDWIDTHS", "PAPER_HIT_RATIOS"]
 
@@ -29,7 +30,7 @@ SIZE_GRID = np.linspace(0.0, 10.0, 101)
 
 
 def _panel(h_prime: float):
-    """One figure panel, evaluated via the sweep engine's grid map."""
+    """One figure panel."""
     params = SystemParameters(
         bandwidth=PAPER_BANDWIDTHS[0],  # per-curve b comes from the sweep
         request_rate=PAPER_LAMBDA,
@@ -52,14 +53,12 @@ class Figure1Experiment(Experiment):
     paper_artifact = "Figure 1"
     description = "p_th vs item size s for nine bandwidths, h' in {0.0, 0.3}"
 
-    def _execute(self, *, fast: bool = False) -> ExperimentResult:
+    def _execute(self, *, fast: bool, engine: SweepExecutor) -> ExperimentResult:
         result = ExperimentResult(
             experiment_id=self.experiment_id,
             title="Threshold p_th = f'*lambda*s/b against s (model A, eq. 13)",
         )
-        # Panels evaluate through the session sweep engine's grid map
-        # (pure function over the h' grid, in-process).
-        panels = self.engine.map_grid(_panel, PAPER_HIT_RATIOS)
+        panels = [_panel(h_prime) for h_prime in PAPER_HIT_RATIOS]
         for h_prime, sweep in zip(PAPER_HIT_RATIOS, panels):
             result.sweeps.append(sweep)
             # Shape checks the paper's plot makes visually:

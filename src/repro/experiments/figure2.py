@@ -21,6 +21,7 @@ from repro.core.model_a import ModelA
 from repro.core.parameters import SystemParameters
 from repro.core.sweeps import improvement_vs_prefetch_count
 from repro.experiments.base import Experiment, ExperimentResult, register
+from repro.sim.sweep import SweepExecutor
 
 __all__ = ["Figure2Experiment", "PAPER_PROBABILITIES", "NF_GRID"]
 
@@ -30,7 +31,7 @@ NF_GRID = np.linspace(0.0, 2.0, 101)
 
 
 def _panel(h_prime: float):
-    """One figure panel, evaluated via the sweep engine's grid map."""
+    """One figure panel."""
     model = ModelA(SystemParameters.paper_defaults(hit_ratio=h_prime))
     return improvement_vs_prefetch_count(
         model,
@@ -47,13 +48,12 @@ class Figure2Experiment(Experiment):
     paper_artifact = "Figure 2"
     description = "G vs n(F) for p in 0.1..0.9; s=1, lambda=30, b=50, h' in {0, 0.3}"
 
-    def _execute(self, *, fast: bool = False) -> ExperimentResult:
+    def _execute(self, *, fast: bool, engine: SweepExecutor) -> ExperimentResult:
         result = ExperimentResult(
             experiment_id=self.experiment_id,
             title="Access improvement G (eq. 11) against prefetch count n(F)",
         )
-        # Panels evaluate through the session sweep engine's grid map.
-        panels = self.engine.map_grid(_panel, PAPER_HIT_RATIOS)
+        panels = [_panel(h_prime) for h_prime in PAPER_HIT_RATIOS]
         for h_prime, sweep in zip(PAPER_HIT_RATIOS, panels):
             model = ModelA(SystemParameters.paper_defaults(hit_ratio=h_prime))
             result.sweeps.append(sweep)

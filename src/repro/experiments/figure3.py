@@ -22,6 +22,7 @@ from repro.core.parameters import SystemParameters
 from repro.core.sweeps import excess_cost_vs_prefetch_count
 from repro.experiments.base import Experiment, ExperimentResult, register
 from repro.experiments.figure2 import NF_GRID, PAPER_PROBABILITIES
+from repro.sim.sweep import SweepExecutor
 
 __all__ = ["Figure3Experiment"]
 
@@ -29,7 +30,7 @@ PAPER_HIT_RATIOS = (0.0, 0.3)
 
 
 def _panel(h_prime: float):
-    """One figure panel, evaluated via the sweep engine's grid map."""
+    """One figure panel."""
     model = ModelA(SystemParameters.paper_defaults(hit_ratio=h_prime))
     return excess_cost_vs_prefetch_count(
         model,
@@ -46,13 +47,12 @@ class Figure3Experiment(Experiment):
     paper_artifact = "Figure 3"
     description = "Excess cost C vs n(F) for p in 0.1..0.9; s=1, lambda=30, b=50"
 
-    def _execute(self, *, fast: bool = False) -> ExperimentResult:
+    def _execute(self, *, fast: bool, engine: SweepExecutor) -> ExperimentResult:
         result = ExperimentResult(
             experiment_id=self.experiment_id,
             title="Excess retrieval cost C (eq. 27) against prefetch count n(F)",
         )
-        # Panels evaluate through the session sweep engine's grid map.
-        panels = self.engine.map_grid(_panel, PAPER_HIT_RATIOS)
+        panels = [_panel(h_prime) for h_prime in PAPER_HIT_RATIOS]
         for h_prime, sweep in zip(PAPER_HIT_RATIOS, panels):
             model = ModelA(SystemParameters.paper_defaults(hit_ratio=h_prime))
             result.sweeps.append(sweep)

@@ -24,7 +24,7 @@ from repro.core.model_a import ModelA
 from repro.core.parameters import SystemParameters
 from repro.experiments.base import Experiment, ExperimentResult, register
 from repro.sim.mirror import MirrorConfig
-from repro.sim.sweep import SweepPoint
+from repro.sim.sweep import SweepExecutor, SweepPoint
 
 __all__ = ["LoadImpedanceExperiment"]
 
@@ -35,7 +35,7 @@ class LoadImpedanceExperiment(Experiment):
     paper_artifact = "Section 5 (excess retrieval cost discussion)"
     description = "Cost of the same prefetch under increasing baseline load"
 
-    def _execute(self, *, fast: bool = False) -> ExperimentResult:
+    def _execute(self, *, fast: bool, engine: SweepExecutor) -> ExperimentResult:
         result = ExperimentResult(
             experiment_id=self.experiment_id,
             title="Load impedance: same prefetch, rising load",
@@ -74,7 +74,7 @@ class LoadImpedanceExperiment(Experiment):
 
         # --- simulated confirmation ------------------------------------
         # All six mirror runs (3 load levels × prefetch on/off) form one
-        # grid through the session sweep engine — one shared pool, cached
+        # grid through the run's sweep engine — one shared pool, cached
         # per point, same per-point seed schedule as before.
         duration = 400.0 if fast else 1500.0
         warmup = 40.0 if fast else 150.0
@@ -96,7 +96,7 @@ class LoadImpedanceExperiment(Experiment):
                            config=replace(base, n_f=0.0, p=0.0),
                            replications=reps, meta={"rho": rho_p})
             )
-        grid = self.engine.run(points)
+        grid = engine.run(points)
         rows = []
         for rho_p in rho_levels:
             measured_C = grid.mean(

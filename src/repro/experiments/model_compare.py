@@ -21,6 +21,7 @@ from repro.core.model_ab import ModelAB
 from repro.core.model_b import ModelB
 from repro.core.parameters import SystemParameters
 from repro.experiments.base import Experiment, ExperimentResult, register
+from repro.sim.sweep import SweepExecutor
 
 __all__ = ["ModelCompareExperiment"]
 
@@ -62,15 +63,13 @@ class ModelCompareExperiment(Experiment):
     paper_artifact = "Section 6 (the two models compared)"
     description = "Threshold gap, A->B convergence, and AB bracketing"
 
-    def _execute(self, *, fast: bool = False) -> ExperimentResult:
+    def _execute(self, *, fast: bool, engine: SweepExecutor) -> ExperimentResult:
         result = ExperimentResult(
             experiment_id=self.experiment_id,
             title="Models A vs B vs AB",
         )
-        # All three parameter grids evaluate through the session sweep
-        # engine's grid map (pure rows, in-process).
         # --- threshold gap table over n(C) -----------------------------
-        rows = self.engine.map_grid(_gap_row, _NC_GRID)
+        rows = [_gap_row(n_c) for n_c in _NC_GRID]
         result.tables.append(
             (
                 "threshold gap p_th(B) - p_th(A) = h'/n(C) (bound 1/n(C))",
@@ -81,7 +80,7 @@ class ModelCompareExperiment(Experiment):
 
         # --- convergence of G as n(C) grows ----------------------------
         n_f, p = _NF_P
-        conv_rows = self.engine.map_grid(_conv_row, _NC_GRID)
+        conv_rows = [_conv_row(n_c) for n_c in _NC_GRID]
         result.tables.append(
             (
                 f"G convergence at n(F)={n_f}, p={p} (|G_A - G_B| -> 0)",
@@ -103,7 +102,7 @@ class ModelCompareExperiment(Experiment):
         g_b = float(np.asarray(ModelB(params).improvement_closed_form(n_f, p)))
         lo, hi = min(g_a, g_b), max(g_a, g_b)
         ab_rows = []
-        for row in self.engine.map_grid(_ab_row, list(alphas)):
+        for row in map(_ab_row, alphas):
             g_ab = row[2]
             inside = lo - 1e-12 <= g_ab <= hi + 1e-12
             bracketing_holds &= inside

@@ -23,7 +23,7 @@ from dataclasses import replace
 
 from repro.experiments.base import Experiment, ExperimentResult, register
 from repro.sim.config import SimulationConfig
-from repro.sim.sweep import SweepPoint
+from repro.sim.sweep import SweepExecutor, SweepPoint
 from repro.workload.sessions import WorkloadSpec
 
 __all__ = ["PolicyAblationExperiment"]
@@ -54,7 +54,7 @@ class PolicyAblationExperiment(Experiment):
             seed=42,
         )
 
-    def _execute(self, *, fast: bool = False) -> ExperimentResult:
+    def _execute(self, *, fast: bool, engine: SweepExecutor) -> ExperimentResult:
         result = ExperimentResult(
             experiment_id=self.experiment_id,
             title="Prefetch policy ablation (full system, common random numbers)",
@@ -70,11 +70,11 @@ class PolicyAblationExperiment(Experiment):
             "top-2": {"policy": "top-k", "policy_params": {"k": 2}},
             "all": {"policy": "all"},
         }
-        # The whole (policy × replication) grid runs through the session
+        # The whole (policy × replication) grid runs through the run's
         # sweep engine: one shared pool, cached per policy point, and the
         # same seed schedule as compare_policies (so common random numbers
         # and bit-identity with the per-point path are preserved).
-        outcomes = self.engine.run(
+        outcomes = engine.run(
             [
                 SweepPoint(key=name, config=replace(base, **overrides),
                            replications=reps)

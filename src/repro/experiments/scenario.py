@@ -29,7 +29,7 @@ from pathlib import Path
 from repro.experiments.base import Experiment, ExperimentResult, register
 from repro.scenario import compile_config, expand_points, load_scenario
 from repro.sim.kpis import aggregate_kpis
-from repro.sim.sweep import SweepPoint
+from repro.sim.sweep import SweepExecutor, SweepPoint
 
 __all__ = ["ScenarioExperiment", "DEFAULT_SCENARIO"]
 
@@ -53,7 +53,7 @@ class ScenarioExperiment(Experiment):
     #: attach the KPI scorecard per phased point (CLI ``--kpi``)
     show_kpis: bool = False
 
-    def _execute(self, *, fast: bool = False) -> ExperimentResult:
+    def _execute(self, *, fast: bool, engine: SweepExecutor) -> ExperimentResult:
         spec = load_scenario(self.scenario_path or DEFAULT_SCENARIO)
         result = ExperimentResult(
             experiment_id=self.experiment_id,
@@ -75,7 +75,7 @@ class ScenarioExperiment(Experiment):
 
         twins = [self._stationary_twin(pt) for pt in points]
         twins = [t for t in twins if t is not None]
-        outcomes = self.engine.run(points + twins)
+        outcomes = engine.run(points + twins)
 
         rows = []
         for pt in points + twins:

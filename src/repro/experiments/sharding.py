@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from repro.experiments.base import Experiment, ExperimentResult, register
 from repro.scenario import expand_points, parse_scenario
+from repro.sim.sweep import SweepExecutor
 
 __all__ = ["ShardingExperiment"]
 
@@ -86,7 +87,7 @@ class ShardingExperiment(Experiment):
             return tuple(self.proxy_counts)
         return (1, 2) if fast else (1, 2, 4)
 
-    def _execute(self, *, fast: bool = False) -> ExperimentResult:
+    def _execute(self, *, fast: bool, engine: SweepExecutor) -> ExperimentResult:
         result = ExperimentResult(
             experiment_id=self.experiment_id,
             title="Multi-proxy sharding: access time vs proxy count",
@@ -97,7 +98,7 @@ class ShardingExperiment(Experiment):
         points = expand_points(spec)
         base = points[0].config
         counts = self._counts(fast=fast)
-        outcomes = self.engine.run(points)
+        outcomes = engine.run(points)
         result.sweeps.append(
             outcomes.to_sweep(
                 "mean_access_time",
@@ -154,7 +155,7 @@ class ShardingExperiment(Experiment):
             )
             routing_points = expand_points(routing_spec)
             # one batched run: both points share the engine's worker pool
-            sharded = self.engine.run(routing_points)
+            sharded = engine.run(routing_points)
             routing_rows = []
             for pt in routing_points:
                 output = sharded.raw[pt.key][0]

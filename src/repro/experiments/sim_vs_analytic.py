@@ -25,7 +25,7 @@ from repro.core.parameters import SystemParameters
 from repro.experiments.base import Experiment, ExperimentResult, register
 from repro.sim.config import SimulationConfig
 from repro.sim.mirror import MirrorConfig
-from repro.sim.sweep import SweepPoint
+from repro.sim.sweep import SweepExecutor, SweepPoint
 from repro.sim.validate import mirror_vs_theory
 from repro.workload.sessions import WorkloadSpec
 
@@ -51,7 +51,7 @@ class SimVsAnalyticExperiment(Experiment):
             pts.append(MirrorConfig(params=params, n_f=n_f, p=p, seed=11))
         return pts
 
-    def _execute(self, *, fast: bool = False) -> ExperimentResult:
+    def _execute(self, *, fast: bool, engine: SweepExecutor) -> ExperimentResult:
         duration = 600.0 if fast else 3000.0
         warmup = 60.0 if fast else 300.0
         reps = 3 if fast else 5
@@ -62,7 +62,7 @@ class SimVsAnalyticExperiment(Experiment):
         # One grid for every mirror run in this experiment: the 5 operating
         # points (replicated), their independent comparison samples, and
         # the 3 timing variants of the batch-arrival caveat below — all
-        # through the session sweep engine's single shared pool, with the
+        # through the run's sweep engine's single shared pool, with the
         # per-point seed schedules unchanged (bit-identical results).
         operating = [
             replace(cfg, duration=duration, warmup=warmup)
@@ -87,7 +87,7 @@ class SimVsAnalyticExperiment(Experiment):
                            config=replace(caveat_base, prefetch_timing=timing),
                            replications=reps)
             )
-        grid = self.engine.run(points)
+        grid = engine.run(points)
 
         rows = []
         worst = 0.0
@@ -182,7 +182,7 @@ class SimVsAnalyticExperiment(Experiment):
                            replications=che_reps,
                            meta={"capacity": capacity, "zipf": exponent})
             )
-        che_grid = self.engine.run(cache_points)
+        che_grid = engine.run(cache_points)
         predictor = AnalyticPredictor()
         che_rows = []
         worst_che = 0.0

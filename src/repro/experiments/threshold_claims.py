@@ -23,6 +23,7 @@ from repro.core.model_b import ModelB
 from repro.core.optimizer import exhaustive_set, threshold_set
 from repro.core.parameters import SystemParameters
 from repro.experiments.base import Experiment, ExperimentResult, register
+from repro.sim.sweep import SweepExecutor
 
 __all__ = ["ThresholdClaimsExperiment"]
 
@@ -92,7 +93,7 @@ class ThresholdClaimsExperiment(Experiment):
         )
         return [agree, trials, max_gap], note
 
-    def _execute(self, *, fast: bool = False) -> ExperimentResult:
+    def _execute(self, *, fast: bool, engine: SweepExecutor) -> ExperimentResult:
         result = ExperimentResult(
             experiment_id=self.experiment_id,
             title="Threshold rule & condition redundancy audit",

@@ -30,7 +30,7 @@ from pathlib import Path
 from repro.errors import ConfigurationError
 from repro.experiments.base import Experiment, ExperimentResult, register
 from repro.sim.config import SimulationConfig
-from repro.sim.sweep import SweepPoint
+from repro.sim.sweep import SweepExecutor, SweepPoint
 from repro.workload.sessions import WorkloadSpec, generate_trace
 from repro.workload.trace import load_trace, save_trace
 
@@ -94,7 +94,7 @@ class TraceReplayExperiment(Experiment):
         os.replace(scratch, path)
         return path, records
 
-    def _execute(self, *, fast: bool = False) -> ExperimentResult:
+    def _execute(self, *, fast: bool, engine: SweepExecutor) -> ExperimentResult:
         result = ExperimentResult(
             experiment_id=self.experiment_id,
             title="Trace replay: identical request sequence under every policy",
@@ -117,7 +117,7 @@ class TraceReplayExperiment(Experiment):
         )
         # Replays are deterministic given the trace (every stochastic input
         # is frozen in the file), so one replication per policy suffices.
-        outcomes = self.engine.run(
+        outcomes = engine.run(
             [
                 SweepPoint(key=name, config=replace(base, **overrides),
                            replications=1)

@@ -4,7 +4,7 @@ from repro.sim.config import SimulationConfig
 from repro.sim.metrics import MetricsCollector, SimulationMetrics, finalize_aggregate
 from repro.sim.mirror import MirrorConfig, run_mirror
 from repro.sim.node import FetchTable, ProxyNode
-from repro.sim.parallel import ReplicationExecutor, replication_jobs, resolve_jobs
+from repro.sim.parallel import ReplicationExecutor, resolve_jobs
 from repro.sim.runner import (
     ReplicatedResult,
     compare_policies,
@@ -22,8 +22,6 @@ from repro.sim.sweep import (
     SweepExecutor,
     SweepPoint,
     SweepRunResult,
-    current_engine,
-    sweep_session,
 )
 from repro.sim.validate import TheoryComparison, mirror_vs_theory
 
@@ -45,14 +43,11 @@ __all__ = [
     "SweepRunResult",
     "TheoryComparison",
     "compare_policies",
-    "current_engine",
     "finalize_aggregate",
     "mirror_vs_theory",
-    "replication_jobs",
     "resolve_jobs",
     "run_mirror",
     "run_mirror_replications",
     "run_simulation",
     "run_simulation_replications",
-    "sweep_session",
 ]

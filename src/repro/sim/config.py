@@ -114,11 +114,11 @@ class SimulationConfig:
         ARCHITECTURE.md ("Parallel node backend").
     node_workers:
         Worker-process cap for ``node_backend="parallel"``.  ``None``
-        (default) uses the session default (CLI ``--node-workers``) or
-        one worker per shard group up to the core count; the
-        oversubscription guard caps ``node_workers × jobs`` at
-        ``os.cpu_count()`` with a warning.  Purely an execution knob —
-        results are identical for every value.
+        (default) gives one worker per shard group up to the core count.
+        A :class:`~repro.sim.sweep.SweepExecutor` running ``jobs``
+        replications at once caps it at ``os.cpu_count() // jobs``, with
+        a warning when it cuts an explicit value.  Purely an execution
+        knob — results are identical for every value.
     faults:
         Optional :class:`~repro.sim.faults.FaultSchedule` of mid-run
         topology mutations (proxy crash/recovery, elastic ring

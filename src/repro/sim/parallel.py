@@ -17,12 +17,11 @@ ProcessPoolExecutor` with the guarantees the experiment layer needs:
   carrying closures), daemonic worker contexts (no nested pools), and
   pool start-up failures (restricted sandboxes) all degrade to an in-process
   loop with identical semantics.
-* **Session default.**  The CLI's ``--jobs`` flag (and
-  :func:`replication_jobs`) set a process-wide default that
-  ``run_simulation_replications`` / ``run_mirror_replications`` /
-  ``compare_policies`` pick up when no explicit ``jobs`` is passed, so
-  every experiment transparently parallelises without threading a knob
-  through each call site.
+* **No hidden defaults.**  ``jobs`` is whatever the caller passes
+  (``None`` is serial).  The sweep engine
+  (:class:`~repro.sim.sweep.SweepExecutor`) holds a run's ``jobs`` and
+  node backend; the CLI builds one from ``--jobs``, ``--node-backend``
+  and ``--node-workers``.
 """
 
 from __future__ import annotations
@@ -33,34 +32,23 @@ import pickle
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Sequence, TypeVar
+from typing import Any, Callable, Sequence, TypeVar
 
 __all__ = [
     "ReplicationExecutor",
-    "replication_jobs",
     "resolve_jobs",
-    "get_default_jobs",
-    "set_default_jobs",
     # parallel node backend
     "NodePartition",
     "NodeShardPayload",
     "plan_node_partition",
+    "cap_node_workers",
     "effective_node_workers",
     "run_node_shards",
-    "node_backend_session",
-    "get_default_node_backend",
-    "set_default_node_backend",
 ]
 
 T = TypeVar("T")
 R = TypeVar("R")
-
-#: Session-wide default worker count used when a call site passes
-#: ``jobs=None``.  1 keeps library behaviour strictly serial unless the
-#: user opts in (CLI ``--jobs`` / :func:`replication_jobs`).
-_default_jobs: int = 1
 
 #: Pool construction/submission failures that demote to the serial path.
 #: Only consulted *before* any user function result is awaited, so a
@@ -70,39 +58,13 @@ _POOL_SETUP_FAILURES = (OSError, PermissionError)
 
 
 def resolve_jobs(jobs: int | None = None) -> int:
-    """Normalise a ``jobs`` value: None → session default, ≤0 → all cores."""
+    """Normalise a ``jobs`` value: None → 1 (serial), ≤0 → all cores."""
     if jobs is None:
-        return _default_jobs
+        return 1
     jobs = int(jobs)
     if jobs <= 0:
         return os.cpu_count() or 1
     return jobs
-
-
-def get_default_jobs() -> int:
-    """The session-wide worker count used when ``jobs`` is unspecified."""
-    return _default_jobs
-
-
-def set_default_jobs(jobs: int) -> None:
-    """Set the session-wide default worker count (≤0 → all cores)."""
-    global _default_jobs
-    _default_jobs = resolve_jobs(int(jobs))
-
-
-@contextmanager
-def replication_jobs(jobs: int | None) -> Iterator[None]:
-    """Scoped override of the session default (``None`` leaves it alone)."""
-    global _default_jobs
-    if jobs is None:
-        yield
-        return
-    previous = _default_jobs
-    _default_jobs = resolve_jobs(jobs)
-    try:
-        yield
-    finally:
-        _default_jobs = previous
 
 
 def _picklable(*objects: Any) -> bool:
@@ -120,8 +82,8 @@ class ReplicationExecutor:
     Parameters
     ----------
     jobs:
-        Worker processes: ``None`` → session default, ``1`` → serial,
-        ``≤0`` → one per core.
+        Worker processes: ``None`` or ``1`` → serial, ``≤0`` → one per
+        core.
 
     Notes
     -----
@@ -207,52 +169,6 @@ class ReplicationExecutor:
 #   :func:`plan_node_partition` keeps such a tier in a single group —
 #   the serial loop — with a warning naming each coupling, rather than
 #   ship answers that drift from serial.
-_default_node_backend: str = "serial"
-_default_node_workers: int | None = None
-
-#: One-shot latch for the oversubscription warning (reset by tests).
-_oversub_warned: bool = False
-
-
-def get_default_node_backend() -> tuple[str, int | None]:
-    """The session-wide ``(node_backend, node_workers)`` default."""
-    return _default_node_backend, _default_node_workers
-
-
-def set_default_node_backend(backend: str, workers: int | None = None) -> None:
-    """Set the session default picked up by configs that don't specify one.
-
-    The CLI's ``--node-backend`` / ``--node-workers`` flags land here, so
-    experiments that build their own configs transparently adopt the
-    backend (a config explicitly requesting ``parallel`` keeps its own
-    ``node_workers``).  Purely an execution knob — results are identical.
-    """
-    global _default_node_backend, _default_node_workers
-    from repro.sim.config import NODE_BACKENDS
-
-    if backend not in NODE_BACKENDS:
-        raise ValueError(
-            f"unknown node_backend {backend!r}; known: {NODE_BACKENDS}"
-        )
-    _default_node_backend = backend
-    _default_node_workers = None if workers is None else max(1, int(workers))
-
-
-@contextmanager
-def node_backend_session(
-    backend: str | None, workers: int | None = None
-) -> Iterator[None]:
-    """Scoped override of the node-backend default (``None`` = no-op)."""
-    global _default_node_backend, _default_node_workers
-    if backend is None:
-        yield
-        return
-    previous = (_default_node_backend, _default_node_workers)
-    set_default_node_backend(backend, workers)
-    try:
-        yield
-    finally:
-        _default_node_backend, _default_node_workers = previous
 
 
 @dataclass(frozen=True)
@@ -327,41 +243,43 @@ def plan_node_partition(config) -> NodePartition:
     return NodePartition(groups=groups, reasons=tuple(reasons))
 
 
-def effective_node_workers(requested: int | None, num_groups: int) -> int:
-    """Resolve the node-worker fan-out, guarding against oversubscription.
+def cap_node_workers(requested: int | None, jobs: int) -> int:
+    """Node workers for one run while ``jobs`` runs execute at once.
 
-    ``requested=None`` falls back to the session default (CLI
-    ``--node-workers``), then to one worker per group up to the core
-    count.  The guard: node workers multiply with replication ``jobs``
-    (each replication worker may fan out its own node workers), so when
-    ``node_workers × jobs`` exceeds ``os.cpu_count()`` the fan-out is
-    capped at ``cpu_count // jobs`` and ONE warning is emitted for the
-    session — previously the ``--jobs`` composition was unchecked.
-    Results are identical for every worker count, so capping is purely a
-    throughput decision.
+    The guard against oversubscription: node workers multiply with the
+    replication workers that run them, so each run gets at most
+    ``os.cpu_count() // jobs`` (at least 1).  ``requested=None`` takes
+    that whole share; an explicit request above it is cut, with a
+    warning.
     """
-    global _oversub_warned
-    if requested is None:
-        requested = _default_node_workers
     cpus = os.cpu_count() or 1
+    cap = max(1, cpus // jobs)
     if requested is None:
-        workers = min(num_groups, cpus)
-    else:
-        workers = max(1, int(requested))
-    jobs = max(1, _default_jobs)
-    if workers > 1 and workers * jobs > cpus:
-        capped = max(1, cpus // jobs)
-        if capped < workers and not _oversub_warned:
-            _oversub_warned = True
-            warnings.warn(
-                f"node_workers={workers} x jobs={jobs} would oversubscribe "
-                f"{cpus} CPU core(s); capping node workers at {capped} "
-                f"(results are identical, only wall-clock changes)",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        workers = min(workers, capped)
-    return max(1, min(workers, num_groups))
+        return cap
+    if requested > cap:
+        warnings.warn(
+            f"node_workers={requested} x jobs={jobs} would oversubscribe "
+            f"{cpus} CPU core(s); capping node workers at {cap} "
+            f"(results are identical, only wall-clock changes)",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        return cap
+    return max(1, int(requested))
+
+
+def effective_node_workers(requested: int | None, num_groups: int) -> int:
+    """Worker processes for a parallel run's ``num_groups`` shard groups.
+
+    At most one per group, and at most :func:`cap_node_workers` allows a
+    lone run: ``requested=None`` gives one worker per group up to the
+    core count.  A config dispatched by a multi-worker
+    :class:`~repro.sim.sweep.SweepExecutor` arrives with its request
+    already cut to the engine's share of the cores.  Results are
+    identical for every worker count, so capping is purely a throughput
+    decision.
+    """
+    return max(1, min(cap_node_workers(requested, 1), num_groups))
 
 
 @dataclass(frozen=True)

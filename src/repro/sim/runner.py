@@ -6,26 +6,21 @@ intervals.  Policy comparisons use *common random numbers* (same seeds →
 same workload realisations) so the difference estimator is paired and
 sharp.
 
-Replications are independent by construction, so all three entry points
-fan out over a :class:`~repro.sim.parallel.ReplicationExecutor` when
-``jobs > 1`` — with the guarantee that parallel results are bit-identical
+All three entry points are thin calls of
+:meth:`~repro.sim.sweep.SweepExecutor.run`, the one replication loop:
+replication ``i`` runs with seed ``seed0 + 1000·i``, and ``jobs`` sizes
+the engine's pool (``None`` → serial).  Parallel results are bit-identical
 to serial ones for the same base seed (seeds are fixed before dispatch and
 results return in submission order).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Sequence
+from dataclasses import replace
 
-import numpy as np
-
-from repro.analysis.confidence import ConfidenceInterval, mean_confidence_interval
 from repro.sim.config import SimulationConfig
-from repro.sim.metrics import SimulationMetrics
-from repro.sim.mirror import MirrorConfig, run_mirror
-from repro.sim.parallel import ReplicationExecutor
-from repro.sim.simulation import SimulationOutput, run_simulation
+from repro.sim.mirror import MirrorConfig
+from repro.sim.sweep import ReplicatedResult, SweepExecutor, SweepPoint
 
 __all__ = [
     "ReplicatedResult",
@@ -35,78 +30,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ReplicatedResult:
-    """Aggregate of n independent replications of one configuration."""
-
-    metric_names: tuple[str, ...]
-    samples: dict[str, np.ndarray]
-
-    def ci(self, name: str, level: float = 0.95) -> ConfidenceInterval:
-        return mean_confidence_interval(self.samples[name], level=level)
-
-    def mean(self, name: str) -> float:
-        return float(np.mean(self.samples[name]))
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self.samples[name]
-
-
-_MIRROR_FIELDS = (
-    "mean_access_time",
-    "utilization",
-    "retrieval_time_per_request",
-    "mean_demand_retrieval_time",
-)
-
-_SIM_FIELDS = _MIRROR_FIELDS + ("prefetches_per_request",)
-
-
-def _collect(metrics_list: Sequence[SimulationMetrics], fields: tuple[str, ...],
-             extra: dict[str, list[float]] | None = None) -> ReplicatedResult:
-    samples: dict[str, np.ndarray] = {}
-    for f in fields:
-        samples[f] = np.asarray([getattr(m, f) for m in metrics_list], dtype=float)
-    samples["hit_ratio"] = np.asarray([m.hit_ratio for m in metrics_list], dtype=float)
-    if extra:
-        for k, v in extra.items():
-            samples[k] = np.asarray(v, dtype=float)
-    return ReplicatedResult(metric_names=tuple(samples), samples=samples)
-
-
-def _replication_seeds(seed0: int, replications: int) -> list[int]:
-    """The pinned seed schedule: replication i runs with ``seed0 + 1000·i``.
-
-    Fixed *before* any work is dispatched so worker partitioning can never
-    reshuffle which seed produced which sample.
-    """
-    return [seed0 + 1000 * i for i in range(replications)]
-
-
-def _aggregate_simulation_outputs(
-    outputs: Sequence[SimulationOutput],
+def _replicate(
+    config: MirrorConfig | SimulationConfig,
+    replications: int,
+    base_seed: int | None,
+    jobs: int | None,
 ) -> ReplicatedResult:
-    def _mean_accuracy(output: SimulationOutput) -> float:
-        values = [
-            s.accuracy for s in output.controller_stats if not np.isnan(s.accuracy)
-        ]
-        return float(np.mean(values)) if values else float("nan")
-
-    extra = {
-        "prefetch_traffic_share": [o.prefetch_traffic_share for o in outputs],
-        "prefetch_accuracy": [_mean_accuracy(o) for o in outputs],
-        # cooperative caching (all zero when cooperation is off; the
-        # probe yield is forced to 0.0 — not NaN — with no probes, so
-        # replication arrays stay comparable elementwise)
-        "remote_hit_rate": [o.metrics.remote_hit_rate for o in outputs],
-        "remote_probe_hit_ratio": [
-            o.metrics.remote_probe_hit_ratio if o.metrics.remote_probes else 0.0
-            for o in outputs
-        ],
-        "peer_bytes": [o.peer_bytes for o in outputs],
-        "peer_traffic_share": [o.peer_traffic_share for o in outputs],
-    }
-    return _collect([o.metrics for o in outputs], _SIM_FIELDS, extra)
+    point = SweepPoint("run", config, replications=replications, base_seed=base_seed)
+    return SweepExecutor(jobs).run([point])["run"]
 
 
 def run_mirror_replications(
@@ -118,15 +49,10 @@ def run_mirror_replications(
 ) -> ReplicatedResult:
     """n independent mirror runs differing only in seed.
 
-    ``jobs`` workers run replications concurrently (None → session
-    default); results are bit-identical to a serial run.
+    ``jobs`` workers run replications concurrently (None → serial);
+    results are bit-identical to a serial run.
     """
-    seed0 = config.seed if base_seed is None else base_seed
-    configs = [
-        replace(config, seed=s) for s in _replication_seeds(seed0, replications)
-    ]
-    runs = ReplicationExecutor(jobs).map(run_mirror, configs)
-    return _collect(runs, _MIRROR_FIELDS)
+    return _replicate(config, replications, base_seed, jobs)
 
 
 def run_simulation_replications(
@@ -138,15 +64,10 @@ def run_simulation_replications(
 ) -> ReplicatedResult:
     """n independent full-system runs differing only in seed.
 
-    ``jobs`` workers run replications concurrently (None → session
-    default); results are bit-identical to a serial run.
+    ``jobs`` workers run replications concurrently (None → serial);
+    results are bit-identical to a serial run.
     """
-    seed0 = config.seed if base_seed is None else base_seed
-    configs = [
-        replace(config, seed=s) for s in _replication_seeds(seed0, replications)
-    ]
-    outputs = ReplicationExecutor(jobs).map(run_simulation, configs)
-    return _aggregate_simulation_outputs(outputs)
+    return _replicate(config, replications, base_seed, jobs)
 
 
 def compare_policies(
@@ -163,21 +84,18 @@ def compare_policies(
     ..., ...}`` overrides applied to ``base_config``.  Identical seeds per
     replication index give paired samples.
 
-    The whole (policy × replication) grid is flattened into one work list
-    before dispatch, so ``jobs`` workers parallelise across policies as
-    well as replications — and because every cell's seed is fixed up front,
-    the common-random-numbers pairing is preserved exactly.
+    Each policy is one point of a single grid, so ``jobs`` workers
+    parallelise across policies as well as replications — and because
+    every cell's seed is fixed up front, the common-random-numbers pairing
+    is preserved exactly.
     """
-    names = list(policies)
-    seeds = _replication_seeds(base_config.seed, replications)
-    grid: list[SimulationConfig] = []
-    for name in names:
-        cfg = replace(base_config, **policies[name])
-        grid.extend(replace(cfg, seed=s) for s in seeds)
-    outputs = ReplicationExecutor(jobs).map(run_simulation, grid)
-    results: dict[str, ReplicatedResult] = {}
-    for k, name in enumerate(names):
-        results[name] = _aggregate_simulation_outputs(
-            outputs[k * replications:(k + 1) * replications]
+    points = [
+        SweepPoint(
+            name,
+            replace(base_config, **overrides),
+            replications=replications,
+            base_seed=base_config.seed,
         )
-    return results
+        for name, overrides in policies.items()
+    ]
+    return SweepExecutor(jobs).run(points).results

@@ -89,12 +89,7 @@ from repro.sim.metrics import (
     finalize_aggregate,  # unused here: perfbench/trace.py wraps it by module attribute
 )
 from repro.sim.node import ProxyNode, RequestPath
-from repro.sim.parallel import (
-    NodeShardPayload,
-    get_default_node_backend,
-    plan_node_partition,
-    run_node_shards,
-)
+from repro.sim.parallel import NodeShardPayload, plan_node_partition, run_node_shards
 from repro.workload.aggregate import AggregateClassSource, partition_client_classes
 from repro.workload.markov_source import MarkovChainSource
 from repro.workload.phases import PhasedSourceView, arrival_times
@@ -342,7 +337,6 @@ class Simulation:
         #: of a ``node_backend="parallel"`` simulation); None on every
         #: serial/worker path.
         self._plan = None
-        self._node_workers: int | None = None
         spec = config.workload
         self.replay: TraceReplaySource | None = None
         if config.trace_path is not None:
@@ -407,7 +401,7 @@ class Simulation:
         #: homogeneous classes of an aggregated-backend run, in build
         #: order, idle classes included (empty per-client)
         self.client_classes = []
-        if self.only_nodes is None and self._resolve_node_backend() == "parallel":
+        if self.only_nodes is None and config.node_backend == "parallel":
             plan = plan_node_partition(config)
             if plan.parallel:
                 # Parent of a parallel run: a dispatcher, not a builder —
@@ -430,24 +424,6 @@ class Simulation:
         if config.faults and self.only_nodes is None:
             self.fault_runtime = FaultRuntime(self, config.faults)
             self.fault_runtime.install()
-
-    def _resolve_node_backend(self) -> str:
-        """Effective backend: the config's, or the session default.
-
-        A config explicitly asking for ``parallel`` always gets it; a
-        default (``serial``) config adopts the session-wide backend set by
-        the CLI's ``--node-backend`` flag, mirroring how ``--jobs`` reaches
-        replication runs.  ``node_workers`` resolves the same way (the
-        config's own value wins).
-        """
-        backend = self.config.node_backend
-        self._node_workers = self.config.node_workers
-        session_backend, session_workers = get_default_node_backend()
-        if backend == "serial" and session_backend == "parallel":
-            backend = "parallel"
-            if self._node_workers is None:
-                self._node_workers = session_workers
-        return backend
 
     # ------------------------------------------------------------------
     # Topology plumbing
@@ -965,7 +941,9 @@ class Simulation:
         """Dispatch the partitioned tier to workers; assemble their payloads
         exactly as :meth:`run` assembles its own."""
         return _assemble(
-            run_node_shards(self.config, self._plan, workers=self._node_workers)
+            run_node_shards(
+                self.config, self._plan, workers=self.config.node_workers
+            )
         )
 
 

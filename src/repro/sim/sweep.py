@@ -8,24 +8,17 @@ point had changed.  :class:`SweepExecutor` fixes both:
 
 * **One pool for the whole grid.**  The full (point × replication) task
   matrix is flattened *after* every task's seed is pinned — replication
-  ``i`` of a point runs with the same ``seed0 + 1000·i`` schedule the
-  per-point runners use — and dispatched through a single
-  :class:`~repro.sim.parallel.ReplicationExecutor` map.  Results come back
-  in submission order, so every per-point aggregate is **bit-identical**
-  to calling :func:`~repro.sim.runner.run_mirror_replications` /
-  :func:`~repro.sim.runner.run_simulation_replications` point by point
-  (pinned by tests), while ``jobs`` workers stay saturated across point
+  ``i`` of a point runs with seed ``seed0 + 1000·i`` — and dispatched
+  through a single :class:`~repro.sim.parallel.ReplicationExecutor` map.
+  Results come back in submission order, so every per-point aggregate is
+  **bit-identical** to a plain serial loop over the point's seeds (pinned
+  by tests), while ``jobs`` workers stay saturated across point
   boundaries instead of draining at each one.
 * **On-disk result cache.**  Each point is keyed by a stable scenario
   hash of its config, replication count and seed schedule; finished
   replication outputs are stored under ``cache_dir`` and re-runs of
   unchanged points skip simulation entirely.  Any parameter change hashes
   to a different key, so invalidation is automatic.
-* **Analytic grids ride along.**  :meth:`SweepExecutor.map_grid` runs a
-  pure function over a parameter list through the same engine interface,
-  so the closed-form experiments (figures 1–3, model-compare) share the
-  uniform grid entry point (their rows are micro-cost, so they evaluate
-  in-process — a pool would cost more than the work).
 * **Analytic screening.**  ``run(points, screen=AnalyticScreen(...))``
   first evaluates *every* point through the millisecond-cost
   Che-approximation predictor (:mod:`repro.analysis.cachemodel`), then
@@ -41,9 +34,13 @@ Points whose base seed is left open are assigned one deterministically via
 ``numpy.random.SeedSequence`` spawning from the executor's ``seed``, so a
 grid built without explicit seeds is still reproducible run to run.
 
-The CLI exposes the engine session-wide: ``python -m repro all --sweep
-[DIR] --jobs N`` routes every experiment's replicated runs through one
-cached engine (see :func:`sweep_session` / :func:`current_engine`).
+The engine is the one execution context of a run, and
+:meth:`SweepExecutor.run` the one replication loop: the runners of
+:mod:`repro.sim.runner` are one-point grids through it, and
+:meth:`Experiment.run <repro.experiments.base.Experiment.run>` hands each
+grid of an experiment to the engine it is given.  The CLI builds that
+engine from ``--jobs``, ``--sweep``, ``--node-backend`` and
+``--node-workers``; no module keeps a default of its own.
 """
 
 from __future__ import annotations
@@ -53,34 +50,27 @@ import hashlib
 import os
 import pickle
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from repro.analysis.confidence import ConfidenceInterval, mean_confidence_interval
 from repro.analysis.series import Series, SweepResult
 from repro.errors import ConfigurationError
-from repro.sim.config import SimulationConfig
+from repro.sim.config import NODE_BACKENDS, SimulationConfig
+from repro.sim.metrics import SimulationMetrics
 from repro.sim.mirror import MirrorConfig, run_mirror
-from repro.sim.parallel import ReplicationExecutor
-from repro.sim.runner import (
-    ReplicatedResult,
-    _MIRROR_FIELDS,
-    _aggregate_simulation_outputs,
-    _collect,
-    _replication_seeds,
-)
-from repro.sim.simulation import run_simulation
+from repro.sim.parallel import ReplicationExecutor, cap_node_workers, resolve_jobs
+from repro.sim.simulation import SimulationOutput, run_simulation
 
 __all__ = [
     "AnalyticScreen",
+    "ReplicatedResult",
     "SweepPoint",
     "SweepRunResult",
     "SweepExecutor",
-    "current_engine",
-    "sweep_session",
     "scenario_hash",
 ]
 
@@ -126,6 +116,83 @@ __all__ = [
 #:     used to drop the rest of a pre-drawn 256-gap block), as a client
 #:     does — so a phased multi-member run reproduces no v10 entry.
 CACHE_SCHEMA_VERSION = 11
+
+
+# ----------------------------------------------------------------------
+# Replicated results
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class ReplicatedResult:
+    """Aggregate of n independent replications of one configuration."""
+
+    metric_names: tuple[str, ...]
+    samples: dict[str, np.ndarray]
+
+    def ci(self, name: str, level: float = 0.95) -> ConfidenceInterval:
+        return mean_confidence_interval(self.samples[name], level=level)
+
+    def mean(self, name: str) -> float:
+        return float(np.mean(self.samples[name]))
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self.samples[name]
+
+
+_MIRROR_FIELDS = (
+    "mean_access_time",
+    "utilization",
+    "retrieval_time_per_request",
+    "mean_demand_retrieval_time",
+)
+
+_SIM_FIELDS = _MIRROR_FIELDS + ("prefetches_per_request",)
+
+
+def _collect(metrics_list: Sequence[SimulationMetrics], fields: tuple[str, ...],
+             extra: dict[str, list[float]] | None = None) -> ReplicatedResult:
+    samples: dict[str, np.ndarray] = {}
+    for f in fields:
+        samples[f] = np.asarray([getattr(m, f) for m in metrics_list], dtype=float)
+    samples["hit_ratio"] = np.asarray([m.hit_ratio for m in metrics_list], dtype=float)
+    if extra:
+        for k, v in extra.items():
+            samples[k] = np.asarray(v, dtype=float)
+    return ReplicatedResult(metric_names=tuple(samples), samples=samples)
+
+
+def _replication_seeds(seed0: int, replications: int) -> list[int]:
+    """The pinned seed schedule: replication i runs with ``seed0 + 1000·i``.
+
+    Fixed *before* any work is dispatched so worker partitioning can never
+    reshuffle which seed produced which sample.
+    """
+    return [seed0 + 1000 * i for i in range(replications)]
+
+
+def _aggregate_simulation_outputs(
+    outputs: Sequence[SimulationOutput],
+) -> ReplicatedResult:
+    def _mean_accuracy(output: SimulationOutput) -> float:
+        values = [
+            s.accuracy for s in output.controller_stats if not np.isnan(s.accuracy)
+        ]
+        return float(np.mean(values)) if values else float("nan")
+
+    extra = {
+        "prefetch_traffic_share": [o.prefetch_traffic_share for o in outputs],
+        "prefetch_accuracy": [_mean_accuracy(o) for o in outputs],
+        # cooperative caching (all zero when cooperation is off; the
+        # probe yield is forced to 0.0 — not NaN — with no probes, so
+        # replication arrays stay comparable elementwise)
+        "remote_hit_rate": [o.metrics.remote_hit_rate for o in outputs],
+        "remote_probe_hit_ratio": [
+            o.metrics.remote_probe_hit_ratio if o.metrics.remote_probes else 0.0
+            for o in outputs
+        ],
+        "peer_bytes": [o.peer_bytes for o in outputs],
+        "peer_traffic_share": [o.peer_traffic_share for o in outputs],
+    }
+    return _collect([o.metrics for o in outputs], _SIM_FIELDS, extra)
 
 
 # ----------------------------------------------------------------------
@@ -191,7 +258,7 @@ def scenario_hash(
         # Execution knobs, not scenario identity: the parallel node
         # backend is bit-identical to serial (pinned by tests), so both
         # must hash to the same cache key — a warm serial cache serves
-        # parallel sessions and vice versa.
+        # parallel runs and vice versa.
         config = replace(config, node_backend="serial", node_workers=None)
     material = (
         "repro-sweep",
@@ -219,8 +286,7 @@ class SweepPoint:
         A :class:`MirrorConfig` or :class:`SimulationConfig`; the kind is
         dispatched per task, so one grid may mix both.
     replications:
-        Independent replications (seeded ``seed0 + 1000·i`` exactly like
-        the per-point runners).
+        Independent replications, seeded ``seed0 + 1000·i``.
     base_seed:
         ``seed0``; ``None`` → the config's own seed (or, when the executor
         was built with ``seed=...``, a deterministic SeedSequence spawn).
@@ -569,12 +635,15 @@ class _PointPlan:
 class SweepExecutor:
     """Run a grid of operating points through one shared replication pool.
 
+    The one execution context of a run: it holds everything that decides
+    *how* a grid runs and nothing that decides its numbers.
+
     Parameters
     ----------
     jobs:
-        Worker processes for the flattened task matrix (``None`` → the
-        session default, i.e. the CLI's ``--jobs``; serial fallback and
-        bit-identity semantics are inherited from
+        Worker processes for the flattened task matrix (``None`` or 1 →
+        serial, ``≤0`` → one per core; serial fallback and bit-identity
+        semantics are inherited from
         :class:`~repro.sim.parallel.ReplicationExecutor`).
     cache_dir:
         Directory for the on-disk result cache; ``None`` disables caching.
@@ -584,6 +653,15 @@ class SweepExecutor:
         seed the caller wants to keep (points with ``base_seed=None`` use
         their config's seed unless ``spawn_seeds=True`` is requested in
         :meth:`run`).
+    node_backend, node_workers:
+        The node backend of the simulation configs this engine runs.
+        ``"parallel"`` moves a config that asks for ``"serial"`` onto the
+        parallel node backend (one asking for ``"parallel"`` keeps it),
+        and ``node_workers`` fills in a config's unset worker count.  Each
+        parallel config's node workers are then capped at
+        ``os.cpu_count() // jobs``, so node and replication workers
+        together never oversubscribe the host; an explicit request the
+        cap cuts warns once per point.  Results are identical either way.
     """
 
     def __init__(
@@ -592,10 +670,18 @@ class SweepExecutor:
         *,
         cache_dir: str | os.PathLike | None = None,
         seed: int = 0,
+        node_backend: str = "serial",
+        node_workers: int | None = None,
     ) -> None:
-        self.jobs = jobs
+        if node_backend not in NODE_BACKENDS:
+            raise ConfigurationError(
+                f"unknown node_backend {node_backend!r}; known: {NODE_BACKENDS}"
+            )
+        self.jobs = resolve_jobs(jobs)
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self.seed = int(seed)
+        self.node_backend = node_backend
+        self.node_workers = node_workers
         #: cumulative cache traffic across run() calls (CLI reporting)
         self.cache_hit_count = 0
         self.cache_miss_count = 0
@@ -648,6 +734,23 @@ class SweepExecutor:
             pass
 
     # -- execution ------------------------------------------------------
+    def _execution_config(self, config):
+        """``config`` as this engine dispatches it: on the engine's node
+        backend, with node workers capped at its share of the cores."""
+        if not isinstance(config, SimulationConfig) or "parallel" not in (
+            config.node_backend,
+            self.node_backend,
+        ):
+            return config
+        requested = config.node_workers
+        if requested is None:
+            requested = self.node_workers
+        return replace(
+            config,
+            node_backend="parallel",
+            node_workers=cap_node_workers(requested, self.jobs),
+        )
+
     def _base_seed(self, index: int, point: SweepPoint, spawn_seeds: bool) -> int:
         if point.base_seed is not None:
             return int(point.base_seed)
@@ -720,10 +823,6 @@ class SweepExecutor:
                     pt.replications + extra_each,
                 )
             seed0 = self._base_seed(index, pt, spawn_seeds)
-            configs = [
-                replace(pt.config, seed=s)
-                for s in _replication_seeds(seed0, reps)
-            ]
             # The point's scenario hash is resolved whether or not a
             # cache is attached: it is the report-facing audit identity
             # of the point (and doubles as the cache key when one is).
@@ -737,9 +836,16 @@ class SweepExecutor:
             cached = None
             if self.cache_dir is not None and cache_key is not None:
                 cached = self._cache_load(cache_key, reps)
+            configs = []
+            if cached is None:
+                config = self._execution_config(pt.config)
+                configs = [
+                    replace(config, seed=s)
+                    for s in _replication_seeds(seed0, reps)
+                ]
             plans.append(_PointPlan(pt, configs, cache_key, cached))
 
-        flat = [cfg for plan in plans if plan.cached is None for cfg in plan.configs]
+        flat = [cfg for plan in plans for cfg in plan.configs]
         ran = ReplicationExecutor(self.jobs).map(_run_task, flat) if flat else []
 
         results: dict[str, ReplicatedResult] = {}
@@ -788,48 +894,3 @@ class SweepExecutor:
             predictions=predictions,
             scenario_hashes=scenario_hashes,
         )
-
-    def map_grid(self, fn: Callable, items: Sequence) -> list:
-        """Evaluate a pure function over a grid, preserving order.
-
-        The analytic experiments use this for their closed-form panels so
-        every grid in the codebase — simulated or exact — funnels through
-        one engine.  Closed-form rows cost microseconds, far below process
-        pool start-up, so this always runs in-process (``jobs`` applies to
-        the simulation matrix in :meth:`run`, where the work is heavy
-        enough to amortise workers).
-        """
-        return [fn(item) for item in items]
-
-
-# ----------------------------------------------------------------------
-# Session engine (what the CLI configures and experiments pick up)
-# ----------------------------------------------------------------------
-_session_engine: SweepExecutor | None = None
-
-
-def current_engine() -> SweepExecutor:
-    """The session's sweep engine (CLI-configured) or a default one.
-
-    The default engine has no result cache and inherits the session
-    ``jobs`` value, so library behaviour without a session engine is
-    unchanged serial execution.
-    """
-    if _session_engine is not None:
-        return _session_engine
-    return SweepExecutor()
-
-
-@contextmanager
-def sweep_session(engine: SweepExecutor | None) -> Iterator[None]:
-    """Scoped session default for :func:`current_engine` (None → no-op)."""
-    global _session_engine
-    if engine is None:
-        yield
-        return
-    previous = _session_engine
-    _session_engine = engine
-    try:
-        yield
-    finally:
-        _session_engine = previous

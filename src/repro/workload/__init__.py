@@ -1,11 +1,6 @@
 """Workload substrate: catalogues, arrivals, sizes, sources, traces."""
 
-from repro.workload.arrivals import (
-    ArrivalProcess,
-    DeterministicArrivals,
-    PoissonArrivals,
-    WeibullArrivals,
-)
+from repro.workload.arrivals import ArrivalProcess, PoissonArrivals
 from repro.workload.ingest import IngestedTrace, ingest_common_log, ingest_csv
 from repro.workload.markov_source import MarkovChainSource
 from repro.workload.replay import TraceReplaySource, trace_digest
@@ -27,7 +22,6 @@ from repro.workload.zipf import ZipfCatalog
 __all__ = [
     "ArrivalProcess",
     "CLIENT_OVERRIDE_FIELDS",
-    "DeterministicArrivals",
     "ExponentialSize",
     "FixedSize",
     "IngestedTrace",
@@ -38,7 +32,6 @@ __all__ = [
     "SizeDistribution",
     "TraceRecord",
     "TraceReplaySource",
-    "WeibullArrivals",
     "WorkloadSpec",
     "ZipfCatalog",
     "generate_trace",

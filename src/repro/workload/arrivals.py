@@ -1,11 +1,7 @@
 """Request arrival processes.
 
 The paper's queueing model assumes Poisson request arrivals at aggregate
-rate λ (the M in M/G/1).  :class:`PoissonArrivals` is the default;
-deterministic and renewal (Weibull/uniform) processes are included for the
-robustness ablation — M/G/1-PS response times are insensitive to *service*
-distribution but not to *arrival* burstiness, so checking how far the
-formulas stretch under non-Poisson arrivals is a natural extension.
+rate λ (the M in M/G/1); :class:`PoissonArrivals` draws them.
 """
 
 from __future__ import annotations
@@ -16,7 +12,7 @@ import numpy as np
 
 from repro.errors import ParameterError
 
-__all__ = ["ArrivalProcess", "PoissonArrivals", "DeterministicArrivals", "WeibullArrivals"]
+__all__ = ["ArrivalProcess", "PoissonArrivals"]
 
 
 class ArrivalProcess(ABC):
@@ -50,39 +46,3 @@ class PoissonArrivals(ArrivalProcess):
 
     def gaps(self, rng: np.random.Generator, count: int) -> np.ndarray:
         return rng.exponential(1.0 / self.rate, size=count)
-
-
-class DeterministicArrivals(ArrivalProcess):
-    """Fixed gaps — zero burstiness (D arrivals)."""
-
-    __slots__ = ()
-
-    name = "deterministic"
-
-    def next_gap(self, rng: np.random.Generator) -> float:
-        return 1.0 / self.rate
-
-
-class WeibullArrivals(ArrivalProcess):
-    """Weibull gaps — tunable burstiness around the same mean rate.
-
-    ``shape < 1`` is burstier than Poisson, ``shape > 1`` smoother,
-    ``shape = 1`` coincides with Poisson.
-    """
-
-    __slots__ = ("shape", "_scale")
-
-    name = "weibull"
-
-    def __init__(self, rate: float, shape: float = 1.0) -> None:
-        super().__init__(rate)
-        if shape <= 0:
-            raise ParameterError(f"shape must be > 0, got {shape!r}")
-        self.shape = float(shape)
-        # Scale chosen so the mean gap is exactly 1/rate.
-        from math import gamma
-
-        self._scale = (1.0 / rate) / gamma(1.0 + 1.0 / self.shape)
-
-    def next_gap(self, rng: np.random.Generator) -> float:
-        return float(self._scale * rng.weibull(self.shape))

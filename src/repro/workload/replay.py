@@ -28,7 +28,7 @@ The replay contract with :class:`repro.sim.simulation.Simulation`:
 
 * ``SimulationConfig.trace_path`` attaches a trace; the Poisson arrival
   process is replaced by the recorded timestamps (scheduled at *absolute*
-  simulation times via :meth:`Environment.at`, so replays are exact, not
+  simulation times via :meth:`Environment.call_at`, so replays are exact, not
   cumulative-float-drift approximations),
 * item sizes recorded in the trace become the origin's size map (first
   record of an item wins; prefetch candidates outside the trace fall back

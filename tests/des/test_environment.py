@@ -338,54 +338,52 @@ class TestRunUntilEvent:
 
 
 class TestAbsoluteTimeScheduling:
-    def test_at_fires_at_exact_absolute_time(self):
+    def test_call_at_fires_at_exact_absolute_time(self):
         env = Environment()
         times = []
+        # Walk a schedule of absolute timestamps whose gaps would
+        # accumulate float error through now+delay round trips.
+        schedule = iter((0.1, 0.2, 0.30000000000000004, 1.7))
 
-        def proc(env):
-            # Walk a schedule of absolute timestamps whose gaps would
-            # accumulate float error through now+delay round trips.
-            for t in (0.1, 0.2, 0.30000000000000004, 1.7):
-                yield env.at(t)
-                times.append(env.now)
+        def fire(event):
+            times.append(env.now)
+            t = next(schedule, None)
+            if t is not None:
+                env.call_at(t, fire)
 
-        env.process(proc(env))
+        env.call_at(next(schedule), fire)
         env.run()
         assert times == [0.1, 0.2, 0.30000000000000004, 1.7]  # exact, not approx
 
-    def test_at_now_is_allowed(self):
+    def test_call_at_now_is_allowed(self):
         env = Environment()
         log = []
 
         def proc(env):
             yield env.timeout(2.0)
-            yield env.at(2.0)  # same-time absolute event is fine
-            log.append(env.now)
+            # same-time absolute event is fine
+            env.call_at(2.0, lambda event: log.append(env.now))
 
         env.process(proc(env))
         env.run()
         assert log == [2.0]
 
-    def test_at_in_the_past_raises(self):
+    def test_call_at_in_the_past_raises(self):
         from repro.errors import SimulationError
 
         env = Environment()
 
         def proc(env):
             yield env.timeout(5.0)
-            env.at(4.0)
+            env.call_at(4.0, lambda event: None)
 
-        p = env.process(proc(env))
+        env.process(proc(env))
         with pytest.raises(SimulationError):
             env.run()
 
-    def test_at_carries_value(self):
+    def test_call_at_carries_value(self):
         env = Environment()
         got = []
-
-        def proc(env):
-            got.append((yield env.at(1.0, value="payload")))
-
-        env.process(proc(env))
+        env.call_at(1.0, lambda event: got.append(event.value), value="payload")
         env.run()
         assert got == ["payload"]

@@ -397,11 +397,7 @@ class TestFetchTableIntegration(TraceCase):
         )
 
         # evict the item from client 1's cache mid-probe (t=10.25)
-        def evictor():
-            yield sim.env.at(10.25)
-            sim.nodes[1].caches[0].remove(item)
-
-        sim.env.process(evictor())
+        sim.env.call_at(10.25, lambda event: sim.nodes[1].caches[0].remove(item))
         out = sim.run()
         assert out.metrics.remote_probes == 1
         assert out.metrics.remote_hits == 0

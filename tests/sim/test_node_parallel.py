@@ -41,14 +41,13 @@ from repro.sim.faults import FaultEvent, FaultSchedule
 from repro.sim.kpis import QuantileSketch
 from repro.sim.metrics import aggregate_snapshots
 from repro.sim.parallel import (
+    ReplicationExecutor,
     effective_node_workers,
-    get_default_node_backend,
-    node_backend_session,
     plan_node_partition,
-    set_default_node_backend,
 )
+from repro.sim.runner import run_simulation_replications
 from repro.sim.simulation import Simulation, run_simulation
-from repro.sim.sweep import scenario_hash
+from repro.sim.sweep import SweepExecutor, SweepPoint, scenario_hash
 from repro.workload.phases import PhaseSpec
 from repro.workload.sessions import WorkloadSpec
 from repro.workload.sizes import ExponentialSize, FixedSize
@@ -222,48 +221,117 @@ def test_plan_coupled_tiers_collapse_with_reason(overrides, reason_fragment):
 
 
 # ----------------------------------------------------------------------
-# Oversubscription guard (satellite 1)
+# Oversubscription guard and the engine's node backend
 # ----------------------------------------------------------------------
 
 
-def test_effective_node_workers_caps_and_warns_once(monkeypatch):
+def record_dispatched_configs(monkeypatch) -> list:
+    """Run every pool map in-process and record the simulation configs
+    handed to it (shard-group tasks are not configs, so they are skipped)."""
+    seen = []
+
+    def map_in_process(self, fn, items):
+        seen.extend(item for item in items if isinstance(item, SimulationConfig))
+        return [fn(item) for item in items]
+
+    monkeypatch.setattr(ReplicationExecutor, "map", map_in_process)
+    return seen
+
+
+def oversubscription_warnings(record) -> list:
+    return [w for w in record if "oversubscribe" in str(w.message)]
+
+
+def decoupled_pair(**overrides):
+    """A decoupled two-proxy tier on the parallel backend, kept short."""
+    return fuzz_config(
+        topology=TopologyConfig(num_proxies=2),
+        node_backend="parallel",
+        duration=10.0,
+        warmup=2.0,
+        **overrides,
+    )
+
+
+@pytest.mark.parametrize("requested_by", ["config", "engine"])
+def test_engine_caps_node_workers_at_its_share_of_cores(monkeypatch, requested_by):
+    monkeypatch.setattr(parallel_mod.os, "cpu_count", lambda: 2)
+    seen = record_dispatched_configs(monkeypatch)
+    if requested_by == "config":
+        point = SweepPoint("pair", decoupled_pair(node_workers=2), replications=2)
+        engine = SweepExecutor(jobs=2)
+    else:
+        point = SweepPoint("pair", decoupled_pair(), replications=2)
+        engine = SweepExecutor(jobs=2, node_workers=2)
+    with pytest.warns(RuntimeWarning, match="oversubscribe") as record:
+        engine.run([point])
+    assert len(oversubscription_warnings(record)) == 1
+    assert [c.node_workers for c in seen] == [1, 1]  # 2 cores // 2 jobs
+
+
+def test_runner_jobs_cap_node_workers_like_the_engine(monkeypatch):
+    monkeypatch.setattr(parallel_mod.os, "cpu_count", lambda: 2)
+    seen = record_dispatched_configs(monkeypatch)
+    with pytest.warns(RuntimeWarning, match="oversubscribe") as record:
+        run_simulation_replications(
+            decoupled_pair(node_workers=2), replications=2, jobs=2
+        )
+    assert len(oversubscription_warnings(record)) == 1
+    assert [c.node_workers for c in seen] == [1, 1]
+
+
+def test_engine_cap_applies_to_unset_node_workers_silently(monkeypatch):
     monkeypatch.setattr(parallel_mod.os, "cpu_count", lambda: 8)
-    monkeypatch.setattr(parallel_mod, "_default_jobs", 4)
-    monkeypatch.setattr(parallel_mod, "_oversub_warned", False)
-    with pytest.warns(RuntimeWarning, match="oversubscribe"):
-        assert effective_node_workers(8, 8) == 2  # 8 cores // 4 jobs
-    # the latch makes the second offence silent (still capped)
+    seen = record_dispatched_configs(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert effective_node_workers(8, 8) == 2
+        SweepExecutor(jobs=4).run(
+            [SweepPoint("pair", decoupled_pair(), replications=1)]
+        )
+    assert [c.node_workers for c in seen] == [2]  # 8 cores // 4 jobs
+
+
+def test_effective_node_workers_caps_a_lone_run_at_the_cores(monkeypatch):
+    monkeypatch.setattr(parallel_mod.os, "cpu_count", lambda: 8)
+    with pytest.warns(RuntimeWarning, match="oversubscribe"):
+        assert effective_node_workers(16, 16) == 8
 
 
 def test_effective_node_workers_defaults_and_bounds(monkeypatch):
     monkeypatch.setattr(parallel_mod.os, "cpu_count", lambda: 8)
-    monkeypatch.setattr(parallel_mod, "_default_jobs", 1)
-    monkeypatch.setattr(parallel_mod, "_oversub_warned", False)
-    monkeypatch.setattr(parallel_mod, "_default_node_workers", None)
     assert effective_node_workers(None, 3) == 3  # one worker per group
     assert effective_node_workers(None, 100) == 8  # bounded by cores
     assert effective_node_workers(5, 3) == 3  # bounded by groups
     assert effective_node_workers(1, 8) == 1
 
 
-def test_node_backend_session_scopes_the_default():
-    assert get_default_node_backend() == ("serial", None)
-    with node_backend_session("parallel", 2):
-        assert get_default_node_backend() == ("parallel", 2)
-        sim = Simulation(fuzz_config())  # config says "serial": inherits
-        assert sim._plan is not None
-    assert get_default_node_backend() == ("serial", None)
-    assert Simulation(fuzz_config())._plan is None
-    with node_backend_session(None):
-        assert get_default_node_backend() == ("serial", None)
+def test_engine_node_backend_moves_serial_configs(monkeypatch):
+    seen = record_dispatched_configs(monkeypatch)
+    serial = fuzz_config(duration=10.0, warmup=2.0)
+    explicit = decoupled_pair(node_workers=1)
+    SweepExecutor(node_backend="parallel", node_workers=2).run(
+        [
+            SweepPoint("serial", serial, replications=1),
+            SweepPoint("explicit", explicit, replications=1),
+        ]
+    )
+    assert [(c.node_backend, c.node_workers) for c in seen] == [
+        ("parallel", 2),  # the engine's backend and workers fill in
+        ("parallel", 1),  # the config's own worker count wins
+    ]
+    assert Simulation(seen[0])._plan is not None
+    # The default engine leaves a config's backend alone.
+    seen.clear()
+    SweepExecutor().run([SweepPoint("serial", serial, replications=1)])
+    assert [(c.node_backend, c.node_workers) for c in seen] == [("serial", None)]
+    assert Simulation(serial)._plan is None
 
 
-def test_set_default_node_backend_rejects_unknown():
-    with pytest.raises(ValueError, match="unknown node_backend"):
-        set_default_node_backend("threads")
+def test_engine_rejects_unknown_node_backend():
+    from repro.errors import ConfigurationError
+
+    with pytest.raises(ConfigurationError, match="unknown node_backend"):
+        SweepExecutor(node_backend="threads")
 
 
 def test_config_validates_node_backend_fields():
@@ -423,7 +491,6 @@ def test_parallel_with_real_worker_pool(monkeypatch):
     check the shipped payloads reassemble the serial output exactly —
     this is the end-to-end pickling path workers exercise in production."""
     monkeypatch.setattr(parallel_mod.os, "cpu_count", lambda: 8)
-    monkeypatch.setattr(parallel_mod, "_oversub_warned", False)
     config = fuzz_config(seed=1212)
     serial = run_simulation(config)
     parallel = run_simulation(

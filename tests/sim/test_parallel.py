@@ -9,6 +9,7 @@ The headline guarantee: fanning replications over worker processes changes
 import numpy as np
 import pytest
 
+import repro.sim.parallel as parallel_mod
 from repro.core.parameters import SystemParameters
 from repro.sim import (
     MirrorConfig,
@@ -17,12 +18,8 @@ from repro.sim import (
     run_mirror_replications,
     run_simulation_replications,
 )
-from repro.sim.parallel import (
-    ReplicationExecutor,
-    get_default_jobs,
-    replication_jobs,
-    resolve_jobs,
-)
+from repro.sim.parallel import ReplicationExecutor, resolve_jobs
+from repro.sim.sweep import SweepExecutor
 from repro.workload.sessions import WorkloadSpec
 
 
@@ -82,11 +79,14 @@ class TestReplicationDeterminism:
         # CRN intact under parallelism: the no-prefetch arm never prefetches.
         assert np.all(parallel["none"]["prefetches_per_request"] == 0.0)
 
-    def test_session_default_jobs_used_when_unspecified(self):
-        with replication_jobs(4):
-            parallel = run_mirror_replications(_mirror_config(), replications=3)
+    def test_unspecified_jobs_run_serially(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("jobs=None must not start a pool")
+
+        monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", no_pool)
+        unspecified = run_mirror_replications(_mirror_config(), replications=3)
         serial = run_mirror_replications(_mirror_config(), replications=3, jobs=1)
-        _assert_identical(serial, parallel)
+        _assert_identical(serial, unspecified)
 
 
 class TestReplicationExecutor:
@@ -136,18 +136,17 @@ class TestExperimentRunRecord:
     def test_run_records_jobs_and_wall_clock(self):
         from repro.experiments import get_experiment
 
-        result = get_experiment("fig3").run(fast=True, jobs=2)
+        result = get_experiment("fig3").run(fast=True, engine=SweepExecutor(jobs=2))
         assert result.jobs == 2
         assert result.wall_clock_seconds is not None
         assert result.wall_clock_seconds >= 0.0
         assert "jobs=2" in result.render(plots=False)
 
-    def test_run_defaults_to_session_jobs(self):
+    def test_run_without_engine_is_serial(self):
         from repro.experiments import get_experiment
 
-        with replication_jobs(3):
-            result = get_experiment("fig3").run(fast=True)
-        assert result.jobs == 3
+        result = get_experiment("fig3").run(fast=True)
+        assert result.jobs == 1
 
 
 class TestJobsResolution:
@@ -157,23 +156,10 @@ class TestJobsResolution:
     def test_resolve_zero_means_all_cores(self):
         assert resolve_jobs(0) >= 1
 
-    def test_resolve_none_uses_session_default(self):
-        assert resolve_jobs(None) == get_default_jobs()
-        with replication_jobs(5):
-            assert resolve_jobs(None) == 5
-        assert resolve_jobs(None) == get_default_jobs()
-
-    def test_replication_jobs_none_is_noop(self):
-        before = get_default_jobs()
-        with replication_jobs(None):
-            assert get_default_jobs() == before
-
-    def test_replication_jobs_restores_on_error(self):
-        before = get_default_jobs()
-        with pytest.raises(RuntimeError):
-            with replication_jobs(7):
-                raise RuntimeError("boom")
-        assert get_default_jobs() == before
+    def test_resolve_none_is_serial(self):
+        assert resolve_jobs(None) == 1
+        assert ReplicationExecutor().jobs == 1
+        assert SweepExecutor().jobs == 1
 
 
 # Module-level helpers so they are picklable by worker processes.

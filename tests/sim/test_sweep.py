@@ -3,7 +3,8 @@
 Contracts (mirroring ``test_parallel.py`` for the single-point engine):
 
 * a grid through :class:`SweepExecutor` is **bit-identical** to running
-  each point through the per-point replication runners, at any ``jobs``;
+  each point through a plain serial seed loop (``runner_reference``), at
+  any ``jobs``, and so are the per-point replication runners built on it;
 * the result cache hits on unchanged points, misses when any parameter
   changes, and cached results equal freshly simulated ones exactly;
 * non-picklable configs degrade gracefully (serial, uncached) with
@@ -15,18 +16,20 @@ import dataclasses
 import numpy as np
 import pytest
 
+from runner_reference import mirror_replications, simulation_replications
+
 from repro.core.parameters import SystemParameters
 from repro.errors import ConfigurationError
+from repro.experiments.base import Experiment, ExperimentResult
 from repro.sim import (
     AnalyticScreen,
     MirrorConfig,
     SimulationConfig,
     SweepExecutor,
     SweepPoint,
-    current_engine,
+    compare_policies,
     run_mirror_replications,
     run_simulation_replications,
-    sweep_session,
 )
 from repro.sim.sweep import scenario_hash
 from repro.workload.sessions import WorkloadSpec
@@ -77,12 +80,28 @@ def _assert_identical(a, b):
 class TestBitIdenticalToPerPointRunners:
     def test_matches_per_point_path(self):
         grid = SweepExecutor(jobs=1).run(_grid())
-        for key, cfg, runner in [
-            ("mirror/b=50", _mirror_config(bandwidth=50.0), run_mirror_replications),
-            ("mirror/b=80", _mirror_config(bandwidth=80.0), run_mirror_replications),
-            ("full-sim", _sim_config(), run_simulation_replications),
+        for key, cfg, reference, runner in [
+            ("mirror/b=50", _mirror_config(bandwidth=50.0),
+             mirror_replications, run_mirror_replications),
+            ("mirror/b=80", _mirror_config(bandwidth=80.0),
+             mirror_replications, run_mirror_replications),
+            ("full-sim", _sim_config(),
+             simulation_replications, run_simulation_replications),
         ]:
-            _assert_identical(grid[key], runner(cfg, replications=2, jobs=1))
+            expected = reference(cfg, replications=2)
+            _assert_identical(grid[key], expected)
+            _assert_identical(runner(cfg, replications=2, jobs=1), expected)
+
+    def test_compare_policies_matches_per_policy_loops(self):
+        policies = {"none": {"policy": "none"},
+                    "thr": {"policy": "threshold-dynamic"}}
+        results = compare_policies(_sim_config(), policies, replications=2)
+        assert list(results) == list(policies)
+        for name, overrides in policies.items():
+            expected = simulation_replications(
+                dataclasses.replace(_sim_config(), **overrides), replications=2
+            )
+            _assert_identical(results[name], expected)
 
     def test_jobs4_equals_jobs1(self):
         serial = SweepExecutor(jobs=1).run(_grid())
@@ -94,10 +113,14 @@ class TestBitIdenticalToPerPointRunners:
         pt = SweepPoint(key="m", config=_mirror_config(seed=7),
                         replications=2, base_seed=123)
         grid = SweepExecutor(jobs=1).run([pt])
-        ref = run_mirror_replications(
-            _mirror_config(seed=7), replications=2, base_seed=123, jobs=1
+        ref = mirror_replications(
+            _mirror_config(seed=7), replications=2, base_seed=123
         )
         _assert_identical(grid["m"], ref)
+        runner = run_mirror_replications(
+            _mirror_config(seed=7), replications=2, base_seed=123, jobs=1
+        )
+        _assert_identical(runner, ref)
 
 
 class TestResultCache:
@@ -236,24 +259,41 @@ class TestResultViews:
         assert grid.point("m").replications == 2
 
 
-class TestSessionEngine:
-    def test_default_engine_is_uncached(self):
-        engine = current_engine()
+class _OnePointExperiment(Experiment):
+    """Runs one mirror point through whatever engine ``run`` hands it."""
+
+    experiment_id = "one-point"
+
+    def __init__(self):
+        self.engines = []
+
+    def _execute(self, *, fast, engine):
+        self.engines.append(engine)
+        engine.run([SweepPoint(key="m", config=_mirror_config(), replications=1)])
+        return ExperimentResult(experiment_id=self.experiment_id, title="")
+
+
+class TestExperimentEngine:
+    def test_default_engine_is_uncached_and_serial(self):
+        engine = SweepExecutor()
         assert engine.cache_dir is None
+        assert engine.jobs == 1
 
-    def test_sweep_session_scopes_engine(self, tmp_path):
+    def test_run_uses_the_given_engine(self, tmp_path):
         engine = SweepExecutor(jobs=1, cache_dir=tmp_path)
-        with sweep_session(engine):
-            assert current_engine() is engine
-        assert current_engine() is not engine
+        experiment = _OnePointExperiment()
+        result = experiment.run(engine=engine)
+        assert experiment.engines == [engine]
+        assert engine.cache_miss_count == 1
+        assert list(result.scenario_hashes) == ["m"]
 
-    def test_sweep_session_none_is_noop(self):
-        before = current_engine()
-        with sweep_session(None):
-            assert current_engine().cache_dir == before.cache_dir
-
-    def test_map_grid_preserves_order(self):
-        assert SweepExecutor(jobs=1).map_grid(_square, [3, 1, 2]) == [9, 1, 4]
+    def test_run_without_engine_gets_a_fresh_one(self):
+        experiment = _OnePointExperiment()
+        experiment.run()
+        experiment.run()
+        first, second = experiment.engines
+        assert first is not second
+        assert first.cache_dir is None and second.cache_dir is None
 
 
 class TestSpawnSeeds:
@@ -270,11 +310,6 @@ class TestSpawnSeeds:
         assert not np.array_equal(
             r1["a"]["mean_access_time"], r1["b"]["mean_access_time"]
         )
-
-
-# Module-level so the pool can pickle it.
-def _square(x):
-    return x * x
 
 
 # ----------------------------------------------------------------------

@@ -166,3 +166,47 @@ class TestCLI:
         strip = lambda text: [l for l in text.splitlines()
                               if not l.startswith("run:") and "sweep cache" not in l]
         assert strip(cold) == strip(warm)
+
+    def test_one_engine_carries_the_execution_flags(self, monkeypatch, capsys):
+        from repro.experiments import all_experiments
+
+        engines = []
+        monkeypatch.setattr(
+            "repro.cli._run_one",
+            lambda target, args, engine: engines.append(engine) or "",
+        )
+        assert main(["all", "--jobs", "2", "--node-workers", "3"]) == 0
+        assert len(engines) == len(all_experiments())
+        assert all(engine is engines[0] for engine in engines)
+        engine = engines[0]
+        # a bare --node-workers implies the parallel node backend
+        assert (engine.jobs, engine.node_backend, engine.node_workers) == (
+            2, "parallel", 3,
+        )
+        assert engine.cache_dir is None
+        engines.clear()
+        assert main(["fig1"]) == 0
+        (engine,) = engines
+        assert (engine.jobs, engine.node_backend, engine.node_workers) == (
+            1, "serial", None,
+        )
+
+    def test_execution_flags_leave_the_report_unchanged(self, tmp_path, capsys):
+        """--jobs, --node-backend and --sweep change how a run executes,
+        never what it reports: sharding's client-affinity tiers shard on
+        the parallel node backend inside two replication workers."""
+        argv = ["sharding", "--fast", "--no-plots"]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        flags = ["--jobs", "2", "--node-backend", "parallel",
+                 "--sweep", str(tmp_path / "cache")]
+        assert main(argv + flags) == 0
+        cold = capsys.readouterr().out
+        assert "run: jobs=2" in cold
+        assert main(argv + flags) == 0
+        warm = capsys.readouterr().out
+        assert "6 point(s) served from cache, 0 simulated" in warm
+        strip = lambda text: [l for l in text.splitlines()
+                              if not l.startswith("run:") and "sweep cache" not in l]
+        assert strip(cold) == strip(plain)
+        assert strip(warm) == strip(plain)

@@ -6,14 +6,12 @@ import pytest
 from repro.des.rng import RandomStreams
 from repro.errors import ConfigurationError, ParameterError
 from repro.workload import (
-    DeterministicArrivals,
     ExponentialSize,
     FixedSize,
     LognormalSize,
     MarkovChainSource,
     ParetoSize,
     PoissonArrivals,
-    WeibullArrivals,
     WorkloadSpec,
     ZipfCatalog,
     generate_trace,
@@ -69,22 +67,9 @@ class TestArrivals:
         gaps = PoissonArrivals(rate=4.0).gaps(rng, 20000)
         assert gaps.mean() == pytest.approx(0.25, rel=0.05)
 
-    def test_deterministic_gap(self):
-        rng = np.random.default_rng(0)
-        arr = DeterministicArrivals(rate=2.0)
-        assert arr.next_gap(rng) == 0.5
-
-    @pytest.mark.parametrize("shape", [0.5, 1.0, 3.0])
-    def test_weibull_preserves_mean_rate(self, shape):
-        rng = np.random.default_rng(4)
-        gaps = WeibullArrivals(rate=2.0, shape=shape).gaps(rng, 40000)
-        assert gaps.mean() == pytest.approx(0.5, rel=0.05)
-
     def test_validation(self):
         with pytest.raises(ParameterError):
             PoissonArrivals(rate=0.0)
-        with pytest.raises(ParameterError):
-            WeibullArrivals(rate=1.0, shape=0.0)
 
 
 class TestSizes:
