@@ -5,10 +5,10 @@ characteristic-time approximation of Che, Tung and Wang (and the follow-up
 family: the simplified single-T variant, Garetto/Leonardi/Martina's
 generalisation to non-LRU policies, and Laoutaris's polynomial short-cut)
 answers "what hit ratio does an LRU cache of C items see under this
-popularity law?" in microseconds.  That asymmetry is the engine behind
-*analytic screening* (:class:`repro.sim.sweep.AnalyticScreen`): evaluate a
-whole parameter grid through these closed forms, and pay for a simulation
-only where the answer is interesting.
+popularity law?" in microseconds.  :class:`AnalyticPredictor` combines
+these closed forms with the paper's M/G/1-PS uplink into an oracle for
+prefetch-free operating points, the reference the ``sim-vs-analytic``
+experiment checks the simulator against.
 
 The Che approximation
 ---------------------
@@ -42,7 +42,6 @@ solver cannot converge.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Mapping
 
@@ -77,8 +76,7 @@ __all__ = [
 class PredictionUnsupported(ParameterError):
     """The operating point has no closed-form model (e.g. trace-driven).
 
-    Screening treats such points as *must simulate*; nothing else in the
-    pipeline needs to care why.
+    Such a point can only be simulated; the message says why.
     """
 
 
@@ -150,7 +148,7 @@ def _solve_T(pdf: np.ndarray, cache_size: float, kernel) -> float:
     positive-probability support, so a doubling bracket plus bisection
     always converges; :func:`scipy.optimize.fsolve` remains as a fallback
     for the defensive case the bracket search fails to enclose a root
-    (never observed, but screening must not die mid-grid).
+    (never observed, but a grid of predictions must not die midway).
     """
     support = pdf[pdf > 0.0]
     if cache_size <= 0.0:
@@ -414,7 +412,7 @@ def trace_driven_cache_hit_ratio(
     Consumes an iterable of :class:`repro.workload.trace.TraceRecord`
     (or raw item ids) *once*, builds the empirical popularity pdf from the
     observed frequencies, and evaluates the generalised Che model on it —
-    so a recorded trace can be screened without replaying it through the
+    so a recorded trace can be assessed without replaying it through the
     DES.  Works with the streaming readers
     (:func:`repro.workload.trace.iter_trace`): memory stays O(distinct
     items).
@@ -439,9 +437,8 @@ class AnalyticPrediction:
     """Millisecond-cost analytic estimate of one operating point.
 
     Field names deliberately mirror :class:`~repro.sim.metrics.
-    SimulationMetrics` so screened sweeps can expose analytic points
-    through the same :class:`~repro.sim.sweep.ReplicatedResult` metric
-    interface the simulated points use.
+    SimulationMetrics`, so a prediction and a simulated point compare
+    metric by metric.
     """
 
     hit_ratio: float
@@ -455,23 +452,6 @@ class AnalyticPrediction:
     offered_load: float
     #: demand fetches/s reaching the origin uplinks
     origin_rate: float
-    #: wall-clock the prediction cost (the "~1 ms" budget, measured)
-    cost_seconds: float = 0.0
-
-    def as_samples(self) -> dict[str, np.ndarray]:
-        """Single-sample arrays in ReplicatedResult layout."""
-        return {
-            "mean_access_time": np.asarray([self.mean_access_time]),
-            "utilization": np.asarray([self.utilization]),
-            "retrieval_time_per_request": np.asarray(
-                [self.retrieval_time_per_request]
-            ),
-            "mean_demand_retrieval_time": np.asarray(
-                [self.mean_demand_retrieval_time]
-            ),
-            "prefetches_per_request": np.asarray([self.prefetches_per_request]),
-            "hit_ratio": np.asarray([self.hit_ratio]),
-        }
 
 
 @dataclass
@@ -490,7 +470,7 @@ class AnalyticPredictor:
     Scope (documented, cross-validated by ``sim-vs-analytic``): IRM
     demand traffic, so only prefetch-free points (``policy="none"``).  A
     prefetching policy, a phased workload or a trace-driven point raises
-    :class:`PredictionUnsupported` — screening simply simulates them.
+    :class:`PredictionUnsupported`: such points can only be simulated.
 
     ``variant`` picks the hit-ratio model: ``"che"`` (shared-T simplified
     fixed point, the default), ``"che-exact"`` (per-item T, O(N²)) or
@@ -535,17 +515,13 @@ class AnalyticPredictor:
         from repro.sim.config import SimulationConfig
         from repro.sim.mirror import MirrorConfig
 
-        started = time.perf_counter()
         if isinstance(config, MirrorConfig):
-            pred = self._predict_mirror(config)
-        elif isinstance(config, SimulationConfig):
-            pred = self._predict_simulation(config)
-        else:
-            raise PredictionUnsupported(
-                f"no analytic model for {type(config).__name__}"
-            )
-        object.__setattr__(pred, "cost_seconds", time.perf_counter() - started)
-        return pred
+            return self._predict_mirror(config)
+        if isinstance(config, SimulationConfig):
+            return self._predict_simulation(config)
+        raise PredictionUnsupported(
+            f"no analytic model for {type(config).__name__}"
+        )
 
     # -- mirror: the paper's closed forms -------------------------------
     def _predict_mirror(self, config: "MirrorConfig") -> AnalyticPrediction:

@@ -178,21 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
             "'proxy-fail@60:1,proxy-recover@90:1,migration=cooperative'"
         ),
     )
-    parser.add_argument(
-        "--screen",
-        type=float,
-        nargs="?",
-        const=0.25,
-        default=None,
-        metavar="KEEP",
-        help=(
-            "analytic screening budget for screening-aware experiments "
-            "(e.g. 'analytic-screen'): simulate the best KEEP fraction of "
-            "each series (or an absolute per-series count if KEEP >= 1) "
-            "and fill the rest of the grid with Che-approximation "
-            "predictions (default KEEP 0.25)"
-        ),
-    )
     parser.add_argument("--list", action="store_true", help="list experiment ids")
     parser.add_argument(
         "--fast",
@@ -323,8 +308,6 @@ def _run_one(
         experiment.proxy_counts = args.proxies
     if args.cooperation is not None and hasattr(experiment, "cooperation_modes"):
         experiment.cooperation_modes = args.cooperation
-    if args.screen is not None and hasattr(experiment, "screen_keep"):
-        experiment.screen_keep = args.screen
     if args.faults is not None and hasattr(experiment, "fault_schedule"):
         experiment.fault_schedule = args.faults
     if args.scenario_file is not None and hasattr(experiment, "scenario_path"):
@@ -349,6 +332,8 @@ def _run_one(
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.node_workers is not None and args.node_workers < 1:
+        parser.error(f"--node-workers must be >= 1, got {args.node_workers}")
     registry = all_experiments()
     if args.experiment == "record-trace":
         return _record_trace(args)
@@ -398,7 +383,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     warn_if_unconsumed(args.proxies, "proxy_counts", "--proxies", "sharding")
     warn_if_unconsumed(args.trace, "trace_path", "--trace", "trace-replay")
-    warn_if_unconsumed(args.screen, "screen_keep", "--screen", "analytic-screen")
     warn_if_unconsumed(
         args.faults, "fault_schedule", "--faults", "failure-recovery"
     )

@@ -5,7 +5,6 @@ Importing this package registers all experiments; use
 """
 
 from repro.experiments import (  # noqa: F401 - imports register experiments
-    analytic_screen,
     cooperative_caching,
     estimator_eval,
     failure_recovery,

@@ -51,7 +51,7 @@ class ExperimentResult:
     wall_clock_seconds: float | None = None
     #: audit trail (filled in by :meth:`Experiment.run`): the resolved
     #: ``scenario_hash`` of every sweep point executed during the run
-    #: (None = unhashable config or analytic fill) plus the cache schema
+    #: (None = unhashable config) plus the cache schema
     #: version they were resolved under — what makes cached sweep results
     #: attributable from the report alone.
     scenario_hashes: dict[str, str | None] = field(default_factory=dict)

@@ -7,11 +7,10 @@ analysis assumes the effective job stream is Poisson; when prefetches are
 issued at the instant of their triggering request (as a real system would),
 sojourn times exceed eq. (2) by a measurable margin.
 
-Since PR 6 the report also carries the *Che model-error table*: the
-:class:`~repro.analysis.cachemodel.AnalyticPredictor` that powers analytic
-screening is cross-validated against full-system DES runs at a spread of
-(capacity, zipf) cache points, so the tolerance the screening docs quote is
-measured here, not assumed.
+The report also carries the *Che model-error table*: the
+:class:`~repro.analysis.cachemodel.AnalyticPredictor` is cross-validated
+against full-system DES runs at a spread of prefetch-free (capacity, zipf)
+cache points, so the predictor's error is measured here, not assumed.
 """
 
 from __future__ import annotations
@@ -159,9 +158,9 @@ class SimVsAnalyticExperiment(Experiment):
             "the factor shown (our measured caveat)"
         )
 
-        # --- Che model-error table (analytic-screening predictor) -------
-        # The same facade AnalyticScreen uses to skip simulations, checked
-        # against full-system DES runs at IRM prefetch-free cache points.
+        # --- Che model-error table ---------------------------------------
+        # The closed-form predictor (Che + M/G/1-PS), checked against
+        # full-system DES runs at IRM prefetch-free cache points.
         che_duration = 60.0 if fast else 240.0
         che_warmup = 15.0 if fast else 60.0
         che_reps = 2 if fast else 4
@@ -200,7 +199,7 @@ class SimVsAnalyticExperiment(Experiment):
             )
         result.tables.append(
             (
-                "Che predictor vs DES (model error behind analytic screening)",
+                "Che predictor vs DES (model error at prefetch-free points)",
                 ["point", "C", "zipf", "h che", "h sim", "h rel err",
                  "t che", "t sim", "t rel err"],
                 che_rows,
@@ -208,7 +207,7 @@ class SimVsAnalyticExperiment(Experiment):
         )
         result.notes.append(
             f"Che-approximation worst relative error across cache points: "
-            f"{worst_che:.3%} (IRM, prefetch-free; this is the tolerance the "
-            "analytic-screen fill inherits)"
+            f"{worst_che:.3%} (IRM, prefetch-free: the only points the "
+            "predictor models)"
         )
         return result

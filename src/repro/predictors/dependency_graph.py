@@ -71,7 +71,3 @@ class DependencyGraphPredictor(Predictor):
 
     def reset(self) -> None:
         self.__init__(window=self.window)  # type: ignore[misc]
-
-    @property
-    def edge_count(self) -> int:
-        return sum(len(c) for c in self._edges.values())

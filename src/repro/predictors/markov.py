@@ -93,9 +93,3 @@ class MarkovPredictor(Predictor):
 
     def reset(self) -> None:
         self.__init__(order=self.order, smoothing=self.smoothing)  # type: ignore[misc]
-
-    # ------------------------------------------------------------------
-    @property
-    def contexts_seen(self) -> int:
-        """Number of distinct max-order contexts observed (diagnostics)."""
-        return len(self._counts[self.order]) if self.order else 1

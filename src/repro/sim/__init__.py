@@ -17,16 +17,10 @@ from repro.sim.simulation import (
     SimulationOutput,
     run_simulation,
 )
-from repro.sim.sweep import (
-    AnalyticScreen,
-    SweepExecutor,
-    SweepPoint,
-    SweepRunResult,
-)
+from repro.sim.sweep import SweepExecutor, SweepPoint, SweepRunResult
 from repro.sim.validate import TheoryComparison, mirror_vs_theory
 
 __all__ = [
-    "AnalyticScreen",
     "FetchTable",
     "MetricsCollector",
     "MirrorConfig",

@@ -265,7 +265,7 @@ def cap_node_workers(requested: int | None, jobs: int) -> int:
             stacklevel=3,
         )
         return cap
-    return max(1, int(requested))
+    return int(requested)
 
 
 def effective_node_workers(requested: int | None, num_groups: int) -> int:

@@ -75,7 +75,6 @@ def compare_policies(
     policies: dict[str, dict],
     *,
     replications: int = 5,
-    metric: str = "mean_access_time",
     jobs: int | None = None,
 ) -> dict[str, ReplicatedResult]:
     """Run each policy variant on common random numbers.

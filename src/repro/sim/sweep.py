@@ -19,20 +19,6 @@ point had changed.  :class:`SweepExecutor` fixes both:
   replication outputs are stored under ``cache_dir`` and re-runs of
   unchanged points skip simulation entirely.  Any parameter change hashes
   to a different key, so invalidation is automatic.
-* **Analytic screening.**  ``run(points, screen=AnalyticScreen(...))``
-  first evaluates *every* point through the millisecond-cost
-  Che-approximation predictor (:mod:`repro.analysis.cachemodel`), then
-  simulates only the interesting frontier — the best-k predicted points
-  per series, the series endpoints, and a tolerance band around predicted
-  series crossovers — and fills the rest of the grid with the analytic
-  predictions.  Every point in the returned :class:`SweepRunResult`
-  carries provenance (``simulated`` / ``cached`` / ``analytic``), and the
-  simulated subset is **bit-identical** to the same points in an
-  unscreened run (same per-point seed schedules, same cache keys).
-
-Points whose base seed is left open are assigned one deterministically via
-``numpy.random.SeedSequence`` spawning from the executor's ``seed``, so a
-grid built without explicit seeds is still reproducible run to run.
 
 The engine is the one execution context of a run, and
 :meth:`SweepExecutor.run` the one replication loop: the runners of
@@ -49,7 +35,6 @@ import dataclasses
 import hashlib
 import os
 import pickle
-import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Iterator, Mapping, Sequence
@@ -66,7 +51,6 @@ from repro.sim.parallel import ReplicationExecutor, cap_node_workers, resolve_jo
 from repro.sim.simulation import SimulationOutput, run_simulation
 
 __all__ = [
-    "AnalyticScreen",
     "ReplicatedResult",
     "SweepPoint",
     "SweepRunResult",
@@ -82,15 +66,15 @@ __all__ = [
 #: v4: TopologyConfig grew a CooperationConfig (covered by the hash via
 #:     dataclass decomposition); SimulationMetrics grew remote-probe
 #:     counters and SimulationOutput grew peer-link totals (PR 5).
-#: v5: analytic screening (PR 6): SweepRunResult grew provenance; the
-#:     bump guarantees screened sessions can never read (or be read as)
-#:     pre-screening cache entries, so analytic points never alias cached
-#:     full runs.
+#: v5: grid points could be filled from closed-form predictions instead
+#:     of simulated (a mode since removed); the bump kept those sessions
+#:     from reading, or being read as, older cache entries.
 #: v6: client-class aggregation (PR 7): SimulationConfig grew
 #:     ``client_backend`` (covered by the hash via dataclass
 #:     decomposition) and SimulationOutput grew per-class stats rows;
-#:     rebudgeted screens store boosted replication counts under keys
-#:     hashing that boosted count, which older readers must not alias.
+#:     the since-removed prediction mode stored boosted replication
+#:     counts under keys hashing that count, which older readers must
+#:     not alias.
 #: v7: scenario engine + phases + KPIs (PR 8): WorkloadSpec grew
 #:     ``phases`` (covered via dataclass decomposition — a phased spec
 #:     can never alias its stationary twin), SimulationOutput grew a
@@ -288,8 +272,7 @@ class SweepPoint:
     replications:
         Independent replications, seeded ``seed0 + 1000·i``.
     base_seed:
-        ``seed0``; ``None`` → the config's own seed (or, when the executor
-        was built with ``seed=...``, a deterministic SeedSequence spawn).
+        ``seed0``; ``None`` → the config's own seed.
     meta:
         Free-form annotations (e.g. the x-coordinate for
         :meth:`SweepRunResult.to_sweep`).
@@ -327,186 +310,6 @@ def _aggregate(point: SweepPoint, runs: list) -> ReplicatedResult:
 
 
 # ----------------------------------------------------------------------
-# Analytic screening
-# ----------------------------------------------------------------------
-@dataclass
-class AnalyticScreen:
-    """Screening policy: which grid points earn a simulation.
-
-    The screen predicts every point with the Che-approximation predictor
-    (:class:`repro.analysis.cachemodel.AnalyticPredictor`, ~1 ms/point)
-    and simulates only the *interesting frontier*:
-
-    * the best ``keep`` points of each series by predicted ``metric``
-      (``keep < 1`` → fraction of the series, ``keep ≥ 1`` → count);
-    * each series' first and last point along the ``x`` axis (anchors, so
-      interpolation against the analytic fill is always bracketed);
-    * a relative ``band`` around each predicted series *crossover*
-      (adjacent x's where the best-ranked series flips): every point
-      within ``band`` of the best prediction in the two flanking grid
-      columns simulates — exactly where the closed forms disagree least
-      and ranking errors matter most.
-
-    Points the predictor cannot model (trace-driven configs, unsupported
-    types) are always simulated.  Series are formed by the ``by`` meta
-    key (``None`` → one series); points are ordered by the ``x`` meta key
-    (missing → grid order).
-
-    Attributes
-    ----------
-    keep:
-        Per-series simulation budget (fraction if < 1, else count).
-    metric:
-        Predicted metric to rank by (lower is better), default
-        ``mean_access_time``.
-    x, by:
-        Meta keys giving each point's axis coordinate / series label
-        (same conventions as :meth:`SweepRunResult.to_sweep`).
-    band:
-        Relative tolerance around the best prediction in crossover-flank
-        columns; ``0`` narrows crossover handling to the two flanking
-        best points only.
-    predictor:
-        The analytic model; swap for ``AnalyticPredictor("laoutaris")``
-        etc.
-    rebudget:
-        Spend the DES time the analytic fills freed on *extra
-        replications* of the simulated frontier points instead of just
-        pocketing it: the replications freed by analytic fills are
-        divided evenly across the simulated points (integer share each).
-        Because the per-point seed schedule ``seed0 + 1000·i`` is
-        prefix-stable, each boosted point's first ``replications``
-        samples stay bit-identical to the unscreened run — rebudgeting
-        only *appends* samples, tightening confidence intervals exactly
-        where the grid is decided.  The total replication count never
-        exceeds the unscreened grid's.
-    rebudget_cap:
-        Upper bound on the boost as a multiple of a point's own
-        ``replications`` (default 4×), so a near-empty frontier cannot
-        concentrate an absurd sample count on one point.
-    """
-
-    keep: float | int = 0.25
-    metric: str = "mean_access_time"
-    x: str = "x"
-    by: str | None = None
-    band: float = 0.05
-    predictor: Any = None
-    rebudget: bool = False
-    rebudget_cap: int = 4
-
-    def __post_init__(self) -> None:
-        if isinstance(self.keep, bool) or (
-            not isinstance(self.keep, (int, float)) or self.keep <= 0
-        ):
-            raise ConfigurationError(
-                f"screen keep must be a positive fraction or count, "
-                f"got {self.keep!r}"
-            )
-        if self.band < 0:
-            raise ConfigurationError(f"screen band must be >= 0, got {self.band!r}")
-        if not isinstance(self.rebudget_cap, int) or self.rebudget_cap < 1:
-            raise ConfigurationError(
-                f"screen rebudget_cap must be an int >= 1, "
-                f"got {self.rebudget_cap!r}"
-            )
-        if self.predictor is None:
-            from repro.analysis.cachemodel import AnalyticPredictor
-
-            self.predictor = AnalyticPredictor()
-
-    # -- evaluation -----------------------------------------------------
-    def evaluate(self, points: Sequence[SweepPoint]) -> dict[str, Any]:
-        """Predict every point; unsupported points map to ``None``."""
-        from repro.analysis.cachemodel import PredictionUnsupported
-
-        predictions: dict[str, Any] = {}
-        for pt in points:
-            try:
-                predictions[pt.key] = self.predictor.predict(pt.config)
-            except PredictionUnsupported:
-                predictions[pt.key] = None
-        return predictions
-
-    def select(
-        self, points: Sequence[SweepPoint], predictions: Mapping[str, Any]
-    ) -> set[str]:
-        """The keys that must simulate under this screen."""
-        simulate: set[str] = set()
-
-        def score(pt: SweepPoint) -> float:
-            pred = predictions.get(pt.key)
-            value = getattr(pred, self.metric, np.nan)
-            # NaN/inf predictions (saturated/unstable points) rank as
-            # most interesting: the model is confessing it cannot answer.
-            return float(value) if np.isfinite(value) else -np.inf
-
-        series: dict[str, list[SweepPoint]] = {}
-        for index, pt in enumerate(points):
-            if predictions.get(pt.key) is None:
-                simulate.add(pt.key)  # no model -> must simulate
-                continue
-            if not np.isfinite(score(pt)):
-                # A non-finite prediction (e.g. M/G/1-PS rho >= 1) cannot
-                # fill a grid cell; the point always simulates.
-                simulate.add(pt.key)
-            label = str(pt.meta[self.by]) if self.by in pt.meta else ""
-            series.setdefault(label, []).append(pt)
-        for group in series.values():
-            group.sort(key=lambda pt: float(pt.meta.get(self.x, 0.0)))
-            count = (
-                int(self.keep)
-                if self.keep >= 1
-                else max(1, round(self.keep * len(group)))
-            )
-            ranked = sorted(group, key=score)
-            simulate.update(pt.key for pt in ranked[:count])
-            simulate.add(group[0].key)   # axis anchors
-            simulate.add(group[-1].key)
-        # Crossover detection: the predicted winner at each grid column.
-        by_x: dict[float, list[tuple[str, SweepPoint]]] = {}
-        for label, group in series.items():
-            for pt in group:
-                by_x.setdefault(float(pt.meta.get(self.x, 0.0)), []).append(
-                    (label, pt)
-                )
-        best_series: dict[float, str] = {
-            x_value: min(entries, key=lambda e: score(e[1]))[0]
-            for x_value, entries in by_x.items()
-        }
-        # A predicted crossover (the winning series flips between adjacent
-        # x's) marks both flanking grid columns: simulate everything there
-        # within the relative tolerance band of the best prediction.
-        xs = sorted(best_series)
-        for left, right in zip(xs, xs[1:]):
-            if best_series[left] != best_series[right]:
-                for x_value in (left, right):
-                    entries = by_x[x_value]
-                    best = min(score(pt) for _, pt in entries)
-                    if not np.isfinite(best):
-                        continue  # saturated column: already force-simulated
-                    tol = abs(best) * self.band
-                    simulate.update(
-                        pt.key
-                        for _, pt in entries
-                        if score(pt) <= best + tol
-                    )
-        return simulate
-
-
-def _analytic_result(prediction) -> ReplicatedResult:
-    """Wrap an :class:`AnalyticPrediction` in the ReplicatedResult shape.
-
-    Single-sample arrays keyed like the simulated metrics, so downstream
-    ``mean``/``table``/``to_sweep`` work identically on analytic points
-    (confidence intervals of a closed form are degenerate, as they should
-    be).
-    """
-    samples = prediction.as_samples()
-    return ReplicatedResult(metric_names=tuple(samples), samples=samples)
-
-
-# ----------------------------------------------------------------------
 # Results
 # ----------------------------------------------------------------------
 @dataclass
@@ -516,23 +319,13 @@ class SweepRunResult:
     points: tuple[SweepPoint, ...]
     results: dict[str, ReplicatedResult]
     #: per-point raw outputs (SimulationMetrics / SimulationOutput per
-    #: replication, submission order) — what the result cache stores;
-    #: analytic points hold their single AnalyticPrediction instead
+    #: replication, submission order) — what the result cache stores
     raw: dict[str, list]
     cache_hits: tuple[str, ...] = ()
     cache_misses: tuple[str, ...] = ()
-    wall_clock_seconds: float = 0.0
-    #: how each point's numbers were obtained:
-    #: ``simulated`` (fresh DES run), ``cached`` (on-disk result cache) or
-    #: ``analytic`` (Che-approximation prediction under a screen)
-    provenance: dict[str, str] = field(default_factory=dict)
-    #: screen predictions by point key (every predictable point when a
-    #: screen ran, empty otherwise) — keeps the model values inspectable
-    #: even for points that went on to simulate
-    predictions: dict[str, Any] = field(default_factory=dict)
-    #: resolved ``scenario_hash`` per executed point key (None for
-    #: unhashable configs and analytic fills) — the audit trail that lets
-    #: a report name exactly which cache entries back its numbers
+    #: resolved ``scenario_hash`` per point key (None for unhashable
+    #: configs) — the audit trail that lets a report name exactly which
+    #: cache entries back its numbers
     scenario_hashes: dict[str, str | None] = field(default_factory=dict)
 
     def __getitem__(self, key: str) -> ReplicatedResult:
@@ -546,22 +339,6 @@ class SweepRunResult:
             if pt.key == key:
                 return pt
         raise KeyError(key)
-
-    def simulated_keys(self) -> tuple[str, ...]:
-        """Points backed by a DES run (fresh or cached), grid order."""
-        return tuple(
-            pt.key
-            for pt in self.points
-            if self.provenance.get(pt.key, "simulated") != "analytic"
-        )
-
-    def analytic_keys(self) -> tuple[str, ...]:
-        """Points filled from the analytic predictor, grid order."""
-        return tuple(
-            pt.key
-            for pt in self.points
-            if self.provenance.get(pt.key) == "analytic"
-        )
 
     def mean(self, key: str, metric: str) -> float:
         return self.results[key].mean(metric)
@@ -647,17 +424,12 @@ class SweepExecutor:
         :class:`~repro.sim.parallel.ReplicationExecutor`).
     cache_dir:
         Directory for the on-disk result cache; ``None`` disables caching.
-    seed:
-        Root for deterministic SeedSequence spawning of per-point base
-        seeds when a point specifies neither ``base_seed`` nor a config
-        seed the caller wants to keep (points with ``base_seed=None`` use
-        their config's seed unless ``spawn_seeds=True`` is requested in
-        :meth:`run`).
     node_backend, node_workers:
         The node backend of the simulation configs this engine runs.
         ``"parallel"`` moves a config that asks for ``"serial"`` onto the
         parallel node backend (one asking for ``"parallel"`` keeps it),
-        and ``node_workers`` fills in a config's unset worker count.  Each
+        and ``node_workers`` (at least 1) fills in a config's unset
+        worker count.  Each
         parallel config's node workers are then capped at
         ``os.cpu_count() // jobs``, so node and replication workers
         together never oversubscribe the host; an explicit request the
@@ -669,7 +441,6 @@ class SweepExecutor:
         jobs: int | None = None,
         *,
         cache_dir: str | os.PathLike | None = None,
-        seed: int = 0,
         node_backend: str = "serial",
         node_workers: int | None = None,
     ) -> None:
@@ -677,9 +448,12 @@ class SweepExecutor:
             raise ConfigurationError(
                 f"unknown node_backend {node_backend!r}; known: {NODE_BACKENDS}"
             )
+        if node_workers is not None and int(node_workers) < 1:
+            raise ConfigurationError(
+                f"node_workers must be >= 1, got {node_workers!r}"
+            )
         self.jobs = resolve_jobs(jobs)
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
-        self.seed = int(seed)
         self.node_backend = node_backend
         self.node_workers = node_workers
         #: cumulative cache traffic across run() calls (CLI reporting)
@@ -751,97 +525,40 @@ class SweepExecutor:
             node_workers=cap_node_workers(requested, self.jobs),
         )
 
-    def _base_seed(self, index: int, point: SweepPoint, spawn_seeds: bool) -> int:
-        if point.base_seed is not None:
-            return int(point.base_seed)
-        if spawn_seeds:
-            # Deterministic per-point spawn: same executor seed + same grid
-            # position -> same seed schedule, independent across points.
-            child = np.random.SeedSequence(self.seed).spawn(index + 1)[index]
-            return int(child.generate_state(1, dtype=np.uint32)[0])
-        return int(point.config.seed)
-
-    def run(
-        self,
-        points: Sequence[SweepPoint],
-        *,
-        spawn_seeds: bool = False,
-        screen: AnalyticScreen | None = None,
-    ) -> SweepRunResult:
+    def run(self, points: Sequence[SweepPoint]) -> SweepRunResult:
         """Execute (or fetch from cache) every point and aggregate.
 
         Uncached tasks across *all* points are dispatched as one flat list
         through a single pool map; results are reassembled in submission
         order, so aggregates are bit-identical to the per-point serial
         runners for the same seeds.
-
-        With a ``screen``, the grid is first evaluated analytically and
-        only the screen-selected frontier is simulated; the remaining
-        points are filled from the predictions.  Selected points keep
-        their *original grid index* for seed spawning and their usual
-        cache keys, so their metrics are bit-identical to the same points
-        in an unscreened run.  Analytic fills are never written to the
-        result cache.  A screen with ``rebudget=True`` additionally
-        re-spends the freed replications on the simulated frontier (see
-        :class:`AnalyticScreen`); boosted points hash — and cache — under
-        their boosted replication count.
         """
-        started = time.perf_counter()
         points = tuple(points)
         keys = [pt.key for pt in points]
         if len(set(keys)) != len(keys):
             raise ConfigurationError(f"duplicate sweep point keys in {keys}")
 
-        predictions: dict[str, Any] = {}
-        simulate_keys: set[str] = set(keys)
-        if screen is not None:
-            predictions = screen.evaluate(points)
-            simulate_keys = screen.select(points, predictions)
-
-        # Rebudgeting: replications freed by analytic fills are re-spent
-        # as extra replications of the simulated frontier (even integer
-        # share per point, capped per point).  The seed schedule is
-        # prefix-stable, so a boosted point's first `replications` samples
-        # are bit-identical to the unscreened run; total DES replications
-        # never exceed the unscreened grid's.
-        extra_each = 0
-        if screen is not None and screen.rebudget and simulate_keys:
-            freed = sum(
-                pt.replications for pt in points if pt.key not in simulate_keys
-            )
-            extra_each = freed // len(simulate_keys)
-
         plans: list[_PointPlan] = []
-        point_hashes: dict[str, str | None] = {}
-        for index, pt in enumerate(points):
-            if pt.key not in simulate_keys:
-                continue  # analytic fill; index stays the grid position
-            reps = pt.replications
-            if extra_each:
-                reps = min(
-                    pt.replications * screen.rebudget_cap,
-                    pt.replications + extra_each,
-                )
-            seed0 = self._base_seed(index, pt, spawn_seeds)
+        for pt in points:
+            seed0 = int(pt.config.seed if pt.base_seed is None else pt.base_seed)
             # The point's scenario hash is resolved whether or not a
             # cache is attached: it is the report-facing audit identity
             # of the point (and doubles as the cache key when one is).
             try:
                 cache_key = scenario_hash(
-                    pt.config, replications=reps, base_seed=seed0
+                    pt.config, replications=pt.replications, base_seed=seed0
                 )
             except Exception:
                 cache_key = None  # unhashable config: run uncached
-            point_hashes[pt.key] = cache_key
             cached = None
             if self.cache_dir is not None and cache_key is not None:
-                cached = self._cache_load(cache_key, reps)
+                cached = self._cache_load(cache_key, pt.replications)
             configs = []
             if cached is None:
                 config = self._execution_config(pt.config)
                 configs = [
                     replace(config, seed=s)
-                    for s in _replication_seeds(seed0, reps)
+                    for s in _replication_seeds(seed0, pt.replications)
                 ]
             plans.append(_PointPlan(pt, configs, cache_key, cached))
 
@@ -850,38 +567,25 @@ class SweepExecutor:
 
         results: dict[str, ReplicatedResult] = {}
         raw: dict[str, list] = {}
-        provenance: dict[str, str] = {}
         hits: list[str] = []
         misses: list[str] = []
         cursor = 0
-        simulated: dict[str, tuple[ReplicatedResult, list]] = {}
         for plan in plans:
+            key = plan.point.key
             if plan.cached is not None:
                 runs = plan.cached
-                hits.append(plan.point.key)
-                provenance[plan.point.key] = "cached"
+                hits.append(key)
             else:
                 runs = ran[cursor:cursor + len(plan.configs)]
                 cursor += len(plan.configs)
-                misses.append(plan.point.key)
-                provenance[plan.point.key] = "simulated"
+                misses.append(key)
                 if plan.cache_key is not None and self.cache_dir is not None:
                     self._cache_store(plan.cache_key, plan.point, runs)
-            simulated[plan.point.key] = (_aggregate(plan.point, runs), runs)
-        # Reassemble in original grid order, analytic fills interleaved.
-        for pt in points:
-            if pt.key in simulated:
-                results[pt.key], raw[pt.key] = simulated[pt.key]
-            else:
-                prediction = predictions[pt.key]
-                results[pt.key] = _analytic_result(prediction)
-                raw[pt.key] = [prediction]
-                provenance[pt.key] = "analytic"
+            results[key] = _aggregate(plan.point, runs)
+            raw[key] = runs
         self.cache_hit_count += len(hits)
         self.cache_miss_count += len(misses)
-        # Audit trail: every point of this run in grid order (analytic
-        # fills log None — there is no simulated scenario behind them).
-        scenario_hashes = {pt.key: point_hashes.get(pt.key) for pt in points}
+        scenario_hashes = {plan.point.key: plan.cache_key for plan in plans}
         self.hash_log.extend(scenario_hashes.items())
         return SweepRunResult(
             points=points,
@@ -889,8 +593,5 @@ class SweepExecutor:
             raw=raw,
             cache_hits=tuple(hits),
             cache_misses=tuple(misses),
-            wall_clock_seconds=time.perf_counter() - started,
-            provenance=provenance,
-            predictions=predictions,
             scenario_hashes=scenario_hashes,
         )

@@ -107,8 +107,8 @@ class ZipfCatalog:
            identical to :func:`repro.analysis.cachemodel.
            optimal_cache_hit_ratio` on this catalogue's pdf.  A real LRU
            cache hits strictly less: use :func:`repro.analysis.cachemodel.
-           che_hit_ratio_generalized` (the Che approximation, the model
-           behind analytic screening) to predict simulated LRU behaviour.
+           che_hit_ratio_generalized` (the Che approximation) to predict
+           simulated LRU behaviour.
            The gap is measured by ``tests/analysis/test_cachemodel.py``'s
            regression test against a simulated LRU point.
         """

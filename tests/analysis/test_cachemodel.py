@@ -1,6 +1,7 @@
 """Che-approximation solver family + AnalyticPredictor facade."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -244,7 +245,10 @@ class TestAnalyticPredictor:
             bandwidth=80.0, cache_capacity=30, policy="none",
             duration=50.0, warmup=5.0,
         )
-        pred = AnalyticPredictor().predict(config)
+        predictor = AnalyticPredictor()
+        started = time.perf_counter()
+        pred = predictor.predict(config)
+        elapsed = time.perf_counter() - started
         assert 0.0 < pred.hit_ratio < 1.0
         assert pred.mean_access_time > 0.0
         assert pred.origin_rate == pytest.approx(
@@ -252,7 +256,7 @@ class TestAnalyticPredictor:
         )
         # The "~1 ms" budget, measured on the prediction itself (generous
         # ceiling so slow CI machines do not flake).
-        assert pred.cost_seconds < 0.05
+        assert elapsed < 0.05
 
     def test_trace_points_unsupported(self):
         config = SimulationConfig(trace_path="whatever.jsonl")
@@ -261,7 +265,7 @@ class TestAnalyticPredictor:
 
     def test_phased_points_unsupported(self):
         """Piecewise-stationary load has no single stationary closed form
-        — a screen must simulate phased points, never fill them."""
+        — a phased point must raise, not get a stationary prediction."""
         config = SimulationConfig(
             workload=WorkloadSpec(
                 phases=[{"duration": 10.0, "rate_multiplier": 2.0}]

@@ -18,7 +18,6 @@ EXPECTED_IDS = {
     "trace-replay",
     "sharding",
     "cooperative-caching",
-    "analytic-screen",
     "scenario",
     "failure-recovery",
 }

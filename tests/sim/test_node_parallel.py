@@ -334,6 +334,13 @@ def test_engine_rejects_unknown_node_backend():
         SweepExecutor(node_backend="threads")
 
 
+def test_engine_rejects_node_workers_below_one():
+    from repro.errors import ConfigurationError
+
+    with pytest.raises(ConfigurationError, match="node_workers must be >= 1"):
+        SweepExecutor(node_workers=0)
+
+
 def test_config_validates_node_backend_fields():
     from repro.errors import ConfigurationError
 

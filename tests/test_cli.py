@@ -191,6 +191,12 @@ class TestCLI:
             1, "serial", None,
         )
 
+    def test_node_workers_below_one_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["fig1", "--node-workers", "0"])
+        assert exit_info.value.code == 2
+        assert "--node-workers must be >= 1" in capsys.readouterr().err
+
     def test_execution_flags_leave_the_report_unchanged(self, tmp_path, capsys):
         """--jobs, --node-backend and --sweep change how a run executes,
         never what it reports: sharding's client-affinity tiers shard on
