@@ -318,6 +318,60 @@ class TestAnalyticPredictor:
         predictor.predict(config)
         assert len(predictor._hit_cache) == 1
 
+    def test_memoised_predictions_equal_fresh_ones(self):
+        configs = [
+            SimulationConfig(
+                workload=WorkloadSpec(num_clients=4, catalog_size=300),
+                bandwidth=bw, cache_capacity=cap, policy="none",
+            )
+            for bw in (40.0, 80.0)
+            for cap in (10, 30)
+        ]
+        shared = AnalyticPredictor()
+        forward = [shared.predict(c) for c in configs]
+        backward = [shared.predict(c) for c in reversed(configs)][::-1]
+        fresh = [AnalyticPredictor().predict(c) for c in configs]
+        assert forward == backward == fresh
+
+    def test_mirror_access_time_falls_with_bandwidth(self):
+        from repro.core.parameters import SystemParameters
+
+        predictions = [
+            AnalyticPredictor().predict(
+                MirrorConfig(
+                    params=SystemParameters.paper_defaults(
+                        hit_ratio=0.3, bandwidth=bw
+                    ),
+                    n_f=0.3, p=0.5, duration=120.0, warmup=15.0, seed=7,
+                )
+            )
+            for bw in (50.0, 60.0, 70.0, 80.0, 90.0)
+        ]
+        access = [p.mean_access_time for p in predictions]
+        load = [p.utilization for p in predictions]
+        assert all(a > b > 0.0 for a, b in zip(access, access[1:]))
+        assert all(a > b > 0.0 for a, b in zip(load, load[1:]))
+        # bandwidth moves the queue, not what the cache holds
+        assert len({p.hit_ratio for p in predictions}) == 1
+
+    def test_saturated_uplink_predicts_unbounded_access_time(self):
+        def config(bandwidth):
+            return SimulationConfig(
+                workload=WorkloadSpec(num_clients=4, catalog_size=300),
+                bandwidth=bandwidth, cache_capacity=30, policy="none",
+            )
+
+        stable = AnalyticPredictor().predict(config(80.0))
+        saturated = AnalyticPredictor().predict(config(5.0))
+        assert stable.offered_load < 1.0
+        assert math.isfinite(stable.mean_access_time)
+        assert saturated.offered_load > 1.0
+        assert saturated.utilization == 1.0  # clipped; offered_load is not
+        assert saturated.mean_access_time == math.inf
+        assert saturated.mean_demand_retrieval_time == math.inf
+        assert saturated.hit_ratio == stable.hit_ratio
+        assert saturated.origin_rate == stable.origin_rate
+
 
 # ----------------------------------------------------------------------
 # Reconciliation: ZipfCatalog.expected_hit_ratio vs the Che predictor

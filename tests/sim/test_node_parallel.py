@@ -341,6 +341,38 @@ def test_engine_rejects_node_workers_below_one():
         SweepExecutor(node_workers=0)
 
 
+def test_engine_rejects_negative_node_workers():
+    from repro.errors import ConfigurationError
+
+    with pytest.raises(ConfigurationError, match="node_workers must be >= 1"):
+        SweepExecutor(node_workers=-2)
+
+
+def test_engine_dispatches_a_single_node_worker_as_asked(monkeypatch):
+    monkeypatch.setattr(parallel_mod.os, "cpu_count", lambda: 8)
+    seen = record_dispatched_configs(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        SweepExecutor(jobs=2, node_backend="parallel", node_workers=1).run(
+            [SweepPoint("pair", decoupled_pair(), replications=2)]
+        )
+    assert [(c.node_backend, c.node_workers) for c in seen] == [
+        ("parallel", 1),
+        ("parallel", 1),
+    ]
+
+
+def test_cap_node_workers_keeps_requests_within_the_share(monkeypatch):
+    monkeypatch.setattr(parallel_mod.os, "cpu_count", lambda: 8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert parallel_mod.cap_node_workers(1, 1) == 1
+        assert parallel_mod.cap_node_workers(8, 1) == 8
+        assert parallel_mod.cap_node_workers(2, 4) == 2  # 8 // 4 = 2
+        assert parallel_mod.cap_node_workers(None, 3) == 2  # 8 // 3
+        assert parallel_mod.cap_node_workers(None, 16) == 1  # at least 1
+
+
 def test_config_validates_node_backend_fields():
     from repro.errors import ConfigurationError
 

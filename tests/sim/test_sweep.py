@@ -8,10 +8,15 @@ Contracts (mirroring ``test_parallel.py`` for the single-point engine):
 * the result cache hits on unchanged points, misses when any parameter
   changes, and cached results equal freshly simulated ones exactly;
 * non-picklable configs degrade gracefully (serial, uncached) with
-  identical results.
+  identical results;
+* a point's samples depend only on its config and seed schedule — not
+  on its key, its place in the grid or which other points the cache
+  served.
 """
 
 import dataclasses
+import inspect
+import pickle
 
 import numpy as np
 import pytest
@@ -30,7 +35,7 @@ from repro.sim import (
     run_mirror_replications,
     run_simulation_replications,
 )
-from repro.sim.sweep import scenario_hash
+from repro.sim.sweep import CACHE_SCHEMA_VERSION, scenario_hash
 from repro.workload.sessions import WorkloadSpec
 from repro.workload.sizes import SizeDistribution
 
@@ -167,6 +172,66 @@ class TestResultCache:
         again = engine.run([pt])
         assert again.cache_misses == ("m",)
 
+    @staticmethod
+    def _rewrite_entries(cache_dir, edit):
+        for f in cache_dir.glob("*.pkl"):
+            payload = pickle.loads(f.read_bytes())
+            edit(payload)
+            f.write_bytes(pickle.dumps(payload))
+
+    def test_other_schema_version_is_a_miss_then_rewritten(self, tmp_path):
+        engine = SweepExecutor(jobs=1, cache_dir=tmp_path)
+        pt = SweepPoint(key="m", config=_mirror_config(), replications=1)
+        cold = engine.run([pt])
+        self._rewrite_entries(
+            tmp_path,
+            lambda p: p.update(version=CACHE_SCHEMA_VERSION - 1),
+        )
+        stale = engine.run([pt])
+        assert stale.cache_misses == ("m",)
+        _assert_identical(stale["m"], cold["m"])
+        # the miss stored a current entry again
+        assert engine.run([pt]).cache_hits == ("m",)
+
+    def test_entry_with_wrong_replication_count_is_a_miss(self, tmp_path):
+        engine = SweepExecutor(jobs=1, cache_dir=tmp_path)
+        pt = SweepPoint(key="m", config=_mirror_config(), replications=2)
+        cold = engine.run([pt])
+        self._rewrite_entries(
+            tmp_path, lambda p: p.update(results=p["results"][:1])
+        )
+        again = engine.run([pt])
+        assert again.cache_misses == ("m",)
+        assert len(again.raw["m"]) == 2
+        _assert_identical(again["m"], cold["m"])
+
+    def test_hits_and_misses_in_one_grid_keep_their_own_samples(self, tmp_path):
+        """Cached points interleaved with fresh ones: each fresh point
+        gets exactly its own slice of the flat task list."""
+        a = SweepPoint(key="a", config=_mirror_config(bandwidth=50.0),
+                       replications=1)
+        b = SweepPoint(key="b", config=_mirror_config(bandwidth=60.0),
+                       replications=2)
+        c = SweepPoint(key="c", config=_mirror_config(bandwidth=70.0),
+                       replications=3)
+        engine = SweepExecutor(jobs=1, cache_dir=tmp_path)
+        cold = engine.run([a, c])
+        mixed = engine.run([a, b, c])
+        assert mixed.cache_hits == ("a", "c")
+        assert mixed.cache_misses == ("b",)
+        _assert_identical(mixed["a"], cold["a"])
+        _assert_identical(mixed["c"], cold["c"])
+        _assert_identical(mixed["b"], SweepExecutor(jobs=1).run([b])["b"])
+        assert [len(mixed.raw[k]) for k in "abc"] == [1, 2, 3]
+
+    def test_cache_counters_accumulate_across_runs(self, tmp_path):
+        engine = SweepExecutor(jobs=1, cache_dir=tmp_path)
+        pt = SweepPoint(key="m", config=_mirror_config(), replications=1)
+        engine.run([pt])
+        engine.run([pt, SweepPoint(key="n", config=_mirror_config(seed=8),
+                                   replications=1)])
+        assert (engine.cache_hit_count, engine.cache_miss_count) == (1, 2)
+
     def test_scenario_hash_stability(self):
         h1 = scenario_hash(_mirror_config(), replications=2, base_seed=7)
         h2 = scenario_hash(_mirror_config(), replications=2, base_seed=7)
@@ -293,3 +358,103 @@ class TestExperimentEngine:
         first, second = experiment.engines
         assert first is not second
         assert first.cache_dir is None and second.cache_dir is None
+
+
+class TestOneReplicationLoop:
+    """``SweepExecutor.run(points)`` is the one path every grid takes."""
+
+    def test_run_takes_points_only(self):
+        params = inspect.signature(SweepExecutor.run).parameters
+        assert list(params) == ["self", "points"]
+        with pytest.raises(TypeError):
+            SweepExecutor(jobs=1, seed=11)
+
+    def test_identical_points_get_identical_samples(self):
+        # Seeds come from the point's config (or base_seed), never from
+        # its key or grid position.
+        config = _mirror_config(seed=0)
+        result = SweepExecutor(jobs=1).run([
+            SweepPoint(key="a", config=config, replications=2),
+            SweepPoint(key="b", config=config, replications=2),
+            SweepPoint(key="c", config=config, replications=2, base_seed=1),
+        ])
+        _assert_identical(result["a"], result["b"])
+        assert not np.array_equal(
+            result["a"]["mean_access_time"], result["c"]["mean_access_time"]
+        )
+        hashes = result.scenario_hashes
+        assert hashes["a"] == hashes["b"] != hashes["c"]
+
+    def test_result_follows_grid_order(self):
+        keys = ["z", "a", "m"]
+        points = [
+            SweepPoint(key=k, config=_mirror_config(seed=i), replications=1)
+            for i, k in enumerate(keys)
+        ]
+        result = SweepExecutor(jobs=1).run(points)
+        assert list(result) == keys
+        assert list(result.raw) == keys
+        assert list(result.scenario_hashes) == keys
+        assert result.cache_misses == tuple(keys)
+        assert [pt.key for pt in result.points] == keys
+
+    def test_empty_grid_runs_nothing(self, tmp_path):
+        engine = SweepExecutor(jobs=1, cache_dir=tmp_path)
+        result = engine.run([])
+        assert list(result) == [] and result.raw == {}
+        assert result.cache_hits == result.cache_misses == ()
+        assert engine.hash_log == []
+        assert list(tmp_path.iterdir()) == []
+
+    def test_scenario_hashes_resolved_without_a_cache(self):
+        config = _mirror_config()
+        unhashable = MirrorConfig(
+            params=SystemParameters.paper_defaults(hit_ratio=0.3),
+            n_f=0.2, p=0.5, duration=80.0, warmup=10.0, seed=5,
+            size_distribution=_UnpicklableSizes(),
+        )
+        result = SweepExecutor(jobs=1).run([
+            SweepPoint(key="own", config=config, replications=2),
+            SweepPoint(key="given", config=config, replications=2,
+                       base_seed=99),
+            SweepPoint(key="odd", config=unhashable, replications=1),
+        ])
+        assert result.scenario_hashes == {
+            "own": scenario_hash(config, replications=2,
+                                 base_seed=config.seed),
+            "given": scenario_hash(config, replications=2, base_seed=99),
+            "odd": None,
+        }
+
+    def test_hash_log_accumulates_in_grid_order(self):
+        engine = SweepExecutor(jobs=1)
+        first = engine.run([
+            SweepPoint(key="b", config=_mirror_config(seed=1), replications=1),
+            SweepPoint(key="a", config=_mirror_config(seed=2), replications=1),
+        ])
+        second = engine.run(
+            [SweepPoint(key="b", config=_mirror_config(seed=3), replications=1)]
+        )
+        assert engine.hash_log == [
+            *first.scenario_hashes.items(), *second.scenario_hashes.items()
+        ]
+        assert [key for key, _ in engine.hash_log] == ["b", "a", "b"]
+
+    def test_each_config_kind_aggregates_its_own_metrics(self):
+        result = SweepExecutor(jobs=1).run(_grid(replications=1))
+        mirror = (
+            "mean_access_time",
+            "utilization",
+            "retrieval_time_per_request",
+            "mean_demand_retrieval_time",
+            "hit_ratio",
+        )
+        assert result["mirror/b=50"].metric_names == mirror
+        assert result["mirror/b=80"].metric_names == mirror
+        assert result["full-sim"].metric_names == (
+            mirror[:4]
+            + ("prefetches_per_request", "hit_ratio",
+               "prefetch_traffic_share", "prefetch_accuracy",
+               "remote_hit_rate", "remote_probe_hit_ratio",
+               "peer_bytes", "peer_traffic_share")
+        )

@@ -197,6 +197,20 @@ class TestCLI:
         assert exit_info.value.code == 2
         assert "--node-workers must be >= 1" in capsys.readouterr().err
 
+    def test_negative_node_workers_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["fig1", "--node-workers", "-3"])
+        assert exit_info.value.code == 2
+        assert "--node-workers must be >= 1, got -3" in capsys.readouterr().err
+
+    def test_screen_flag_is_not_accepted(self, capsys):
+        """Every experiment runs its grid in full: there is no flag that
+        fills points from closed forms instead of simulating them."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sim-vs-analytic", "--fast", "--screen"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --screen" in capsys.readouterr().err
+
     def test_execution_flags_leave_the_report_unchanged(self, tmp_path, capsys):
         """--jobs, --node-backend and --sweep change how a run executes,
         never what it reports: sharding's client-affinity tiers shard on
