@@ -31,13 +31,16 @@ never arrive, and full garbage collections rescanning the whole built
 tier.  With that waste gone, every per-client stream derived in one
 vectorized batch, and the clients that never arrive in the horizon left
 unbuilt (their first arrival is drawn at build time), the per-client
-backend runs the 100k population in 2.3-2.9 s instead of 26 s on a
+backend runs the 100k population in 1.4-2.5 s instead of 26 s on a
 2-vCPU x86 host (seed 7, 12 timed runs).  The measured ratio is
-3.6-4.3x at 100k (median 4.0x over 12 runs; an earlier set of 22 runs
-read 2.9-4.3x, one of them below the 3x floor) and 2.1-3.2x at 20k
-(6 runs).  A faster per-client backend lowers the ratio, so the 100k
-floor keeps little headroom: it still fails if the aggregated backend
-stops collapsing the population, and a noisy host can trip it too.
+3.9-5.9x at 100k (median 4.8x over 12 runs) and 2.9-3.4x at 20k
+(6 runs).  Cutting the request path's per-fetch and per-decision
+overhead sped up the aggregated run (event-bound) more than the
+per-client one (build-bound): 12 runs alternating with the code before
+that cut read 3.6-5.7x (median 4.2x) for it.  A faster per-client build
+lowers the ratio, so the 100k floor keeps modest headroom: it still
+fails if the aggregated backend stops collapsing the population, and a
+noisy host can trip it too.
 
 Run:  pytest benchmarks/test_bench_scale.py --benchmark-only -s
 """

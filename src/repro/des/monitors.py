@@ -136,7 +136,7 @@ class TimeWeightedValue:
         return self._value
 
     def set(self, value: float) -> None:
-        now = self.env.now
+        now = self.env._now
         self._integral += self._value * (now - self._last_change)
         self._value = float(value)
         self._last_change = now

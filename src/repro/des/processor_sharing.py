@@ -20,8 +20,10 @@ or a completion costs O(log n) and no per-job remaining work is updated.
   ``F − V`` loses no precision to earlier busy periods, and a job arriving
   at an idle server finishes at exactly ``arrival + work / C``.
 * **Timers.**  Every arrival and every completion arms one timer for the
-  head of the heap.  An epoch counter turns superseded timers into no-ops
-  instead of searching the event queue.
+  head of the heap: a :meth:`~repro.des.environment.Environment.call_at`
+  entry that carries its epoch to :meth:`ProcessorSharingServer._on_timer`.
+  An epoch counter turns superseded timers into no-ops instead of
+  searching the event queue.
 * **Tie tolerance.**  A live timer always completes the head job, so the
   server makes progress even where ``now + delay`` rounds to ``now`` at
   large clock values.  With it go every job whose tag lies within
@@ -157,10 +159,11 @@ class ProcessorSharingServer:
         if work < 0:
             raise SimulationError(f"job work must be >= 0, got {work!r}")
         self._advance()
-        job = PSJob(float(work), self.env.now, tag, on_done)
+        now = self.env._now
+        job = PSJob(float(work), now, tag, on_done)
         if work <= _WORK_EPSILON:
             # Zero-size job: completes immediately without touching shares.
-            job.completion_time = self.env.now
+            job.completion_time = now
             self._completed_jobs += 1
             on_done(job, None)
             return job
@@ -215,7 +218,7 @@ class ProcessorSharingServer:
     # ------------------------------------------------------------------
     def _advance(self) -> None:
         """Move the virtual clock to now, charging the elapsed work."""
-        now = self.env.now
+        now = self.env._now
         elapsed = now - self._last_update
         if elapsed < 0:  # pragma: no cover - clock is monotone
             raise SimulationError("processor-sharing clock went backwards")
@@ -243,12 +246,14 @@ class ProcessorSharingServer:
         remaining = head - self._vtime
         self._limit = head + remaining * _TIE_TOLERANCE + _WORK_EPSILON
         delay = remaining * len(jobs) / self.capacity
-        epoch = self._epoch
-        timer = self.env.timeout(delay if delay > 0.0 else 0.0)
-        timer.callbacks.append(lambda _ev, e=epoch: self._on_timer(e))
+        env = self.env
+        env.call_at(
+            env._now + (delay if delay > 0.0 else 0.0), self._on_timer, self._epoch
+        )
 
-    def _on_timer(self, epoch: int) -> None:
-        if epoch != self._epoch:
+    def _on_timer(self, timer) -> None:
+        """Complete the head job (and its ties) if ``timer`` is current."""
+        if timer._value != self._epoch:
             return  # a newer arrival/departure superseded this timer
         self._advance()
         jobs = self._jobs
@@ -258,8 +263,9 @@ class ProcessorSharingServer:
         finished = [heappop(jobs)]
         while jobs and jobs[0][0] <= limit:
             finished.append(heappop(jobs))
-        finished.sort(key=_by_arrival)
-        now = self.env.now
+        if len(finished) > 1:
+            finished.sort(key=_by_arrival)
+        now = self.env._now
         for _finish, _seq, job in finished:
             job.completion_time = now
             job.on_done(job, None)

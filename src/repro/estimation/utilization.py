@@ -135,7 +135,7 @@ class ThresholdEstimator:
             raise ParameterError(f"model must be 'A' or 'B', got {model!r}")
         lam = self.request_rate.rate
         s = self.item_size.value
-        if any(math.isnan(v) for v in (h, lam, s)):
+        if h != h or lam != lam or s != s:  # NaN: not yet estimable
             return float("nan")
         return (1.0 - h) * lam * s / self.bandwidth
 

@@ -3,20 +3,26 @@
 §2.1: "We treat the entire network accessed through the proxy as a server
 that provides a processor-sharing service."  :class:`SharedLink` wraps the
 DES :class:`~repro.des.processor_sharing.ProcessorSharingServer` with
-fetch-level semantics: per-kind accounting (demand vs prefetch bytes and
-retrieval times) so experiments can read off utilisation ρ, retrieval time
-per request R, and the excess cost C directly.
+fetch-level semantics: it counts the bytes and fetches of each kind
+(demand, prefetch, peer), so experiments can read off utilisation ρ, the
+offered load and the excess cost C directly.  Retrieval times belong to
+the metrics collector (:class:`~repro.sim.metrics.MetricsCollector`): the
+request path records each completed fetch there, under the issue-time
+gate of the measurement window.
 """
 
 from __future__ import annotations
 
 from repro.des.environment import Environment
 from repro.des.events import Event
-from repro.des.monitors import Tally
 from repro.des.processor_sharing import ProcessorSharingServer
 from repro.network.messages import FetchKind, FetchRequest, FetchResult
 
 __all__ = ["SharedLink"]
+
+#: value -> kind; a member hashes and compares as its value, so it maps
+#: to itself
+_KINDS = {kind.value: kind for kind in FetchKind}
 
 
 class SharedLink:
@@ -38,9 +44,6 @@ class SharedLink:
         self.env = env
         self.bandwidth = float(bandwidth)
         self.server = ProcessorSharingServer(env, capacity=self.bandwidth)
-        self.demand_retrieval = Tally("demand-retrieval-time")
-        self.prefetch_retrieval = Tally("prefetch-retrieval-time")
-        self.peer_retrieval = Tally("peer-retrieval-time")
         self._bytes = {kind: 0.0 for kind in FetchKind}
         self._fetches = {kind: 0 for kind in FetchKind}
 
@@ -54,14 +57,17 @@ class SharedLink:
         client: int,
     ) -> Event:
         """Submit a fetch; the returned event succeeds with a
-        :class:`FetchResult` when the download completes."""
-        kind = FetchKind(kind)
-        request = FetchRequest(
-            item=item, size=size, kind=kind, client=client, issued_at=self.env.now
-        )
+        :class:`FetchResult` when the download completes.  An unknown
+        ``kind`` raises :class:`ValueError` before anything is counted."""
+        try:
+            kind = _KINDS[kind]
+        except (KeyError, TypeError):
+            raise ValueError(f"{kind!r} is not a valid FetchKind") from None
+        env = self.env
         self._bytes[kind] += size
         self._fetches[kind] += 1
-        done = Event(self.env)
+        done = Event(env)
+        request = FetchRequest(item, size, kind, client, env._now)
         self.server.submit(size, (request, done), self._complete)
         return done
 
@@ -71,16 +77,7 @@ class SharedLink:
         if exc is not None:
             done.fail(exc)
             return
-        result = FetchResult(request=request, completed_at=self.env.now)
-        kind = request.kind
-        if kind is FetchKind.DEMAND:
-            tally = self.demand_retrieval
-        elif kind is FetchKind.PREFETCH:
-            tally = self.prefetch_retrieval
-        else:
-            tally = self.peer_retrieval
-        tally.record(result.retrieval_time)
-        done.succeed(result)
+        done.succeed(FetchResult(request, self.env._now))
 
     # ------------------------------------------------------------------
     def fail_inflight(self, exc: BaseException) -> int:

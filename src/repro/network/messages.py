@@ -1,15 +1,15 @@
-"""Request/response records flowing through the simulated network."""
+"""Request/response records flowing through the simulated network.
+
+Both records are built once per fetch, so they are named tuples: as
+immutable as a frozen dataclass, without its per-field ``__setattr__``.
+"""
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Hashable
+from typing import Hashable, NamedTuple
 
 __all__ = ["FetchKind", "FetchRequest", "FetchResult"]
-
-_request_ids = itertools.count(1)
 
 
 class FetchKind(str, Enum):
@@ -27,8 +27,7 @@ class FetchKind(str, Enum):
     PEER = "peer"
 
 
-@dataclass(frozen=True, slots=True)
-class FetchRequest:
+class FetchRequest(NamedTuple):
     """One fetch submitted to the shared link."""
 
     item: Hashable
@@ -36,11 +35,9 @@ class FetchRequest:
     kind: FetchKind
     client: int
     issued_at: float
-    request_id: int = field(default_factory=lambda: next(_request_ids))
 
 
-@dataclass(frozen=True, slots=True)
-class FetchResult:
+class FetchResult(NamedTuple):
     """Completion record for a fetch."""
 
     request: FetchRequest

@@ -2,16 +2,15 @@
 
 The paper abstracts "the entire network" into one PS service; concretely we
 still need something that knows item sizes (for heterogeneous-size
-experiments) and can count per-item demand.  The origin holds a size map
-(or a size distribution sampled lazily per item, frozen thereafter so an
-item's size is consistent across fetches) and delegates transfer timing to
-the :class:`~repro.network.link.SharedLink`.
+experiments).  The origin holds a size map (or a size distribution sampled
+lazily per item, frozen thereafter so an item's size is consistent across
+fetches) and delegates transfer timing to the
+:class:`~repro.network.link.SharedLink`.
 """
 
 from __future__ import annotations
 
 import copy
-from collections import Counter
 from typing import Hashable, Mapping
 
 import numpy as np
@@ -78,8 +77,6 @@ class OriginServer:
             if fallback is not None and rng is None:
                 raise ParameterError("a fallback size distribution needs an rng")
             self._rng = rng  # unused without a fallback distribution
-        self.demand_count: Counter = Counter()
-        self.prefetch_count: Counter = Counter()
 
     # ------------------------------------------------------------------
     def size_of(self, item: Hashable) -> float:
@@ -100,10 +97,8 @@ class OriginServer:
         return float(np.mean(list(self._size_map.values())))
 
     def fetch(self, item: Hashable, *, kind: FetchKind | str, client: int) -> Event:
-        """Stream ``item`` to ``client`` through the link."""
-        kind = FetchKind(kind)
-        counter = self.demand_count if kind is FetchKind.DEMAND else self.prefetch_count
-        counter[item] += 1
+        """Stream ``item`` to ``client`` through the link (which checks
+        ``kind``)."""
         return self.link.fetch(
             item=item, size=self.size_of(item), kind=kind, client=client
         )
@@ -112,12 +107,13 @@ class OriginServer:
         """A view of this origin that streams through a different link.
 
         The catalogue is authoritative and shared: the view aliases the
-        size map, size distribution, RNG and demand/prefetch counters, so
-        an item's lazily-sampled size is identical no matter which proxy's
-        link first fetched it, and per-item counts stay global.  Only the
-        transfer path differs — this is how a multi-proxy topology shards
-        traffic across per-node uplinks without forking the catalogue.
+        size map, size distribution and RNG, so an item's lazily-sampled
+        size is identical no matter which proxy's link first fetched it.
+        It shares no per-item counters: the origin keeps none, and each
+        link counts its own bytes and fetches per kind.  Only the transfer
+        path differs — this is how a multi-proxy topology shards traffic
+        across per-node uplinks without forking the catalogue.
         """
-        view = copy.copy(self)  # shallow: dicts/counters stay shared
+        view = copy.copy(self)  # shallow: the size map stays shared
         view.link = link
         return view

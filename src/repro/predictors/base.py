@@ -39,7 +39,8 @@ def _rank(pair: tuple[Item, float]) -> tuple[float, str]:
 
 def ranked(candidates: list[tuple[Item, float]]) -> list[tuple[Item, float]]:
     """Sort ``candidates`` in place by ``(−p, str(item))`` and return them."""
-    candidates.sort(key=_rank)
+    if len(candidates) > 1:
+        candidates.sort(key=_rank)
     return candidates
 
 

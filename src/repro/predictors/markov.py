@@ -52,8 +52,6 @@ class MarkovPredictor(Predictor):
         # transition counts per context length: _counts[k][ctx][successor]
         self._counts: list[dict[tuple, Counter]] = [dict() for _ in range(order + 1)]
         self._recent: deque[Item] = deque(maxlen=order)
-        self._popularity: Counter = Counter()
-        self._total = 0
 
     # ------------------------------------------------------------------
     def record(self, item: Item) -> None:
@@ -67,8 +65,6 @@ class MarkovPredictor(Predictor):
             if table is None:
                 table = counts[ctx] = Counter()
             table[item] += 1
-        self._popularity[item] += 1
-        self._total += 1
         self._recent.append(item)
 
     def predict_above(self, floor: float) -> list[tuple[Item, float]]:

@@ -23,7 +23,7 @@ Responsibilities:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Hashable, Optional
+from typing import Callable, Hashable, NamedTuple, Optional
 
 from repro.cache.base import Cache
 from repro.errors import SimulationError
@@ -53,9 +53,9 @@ class _PendingUnion:
         return item in self.marks or item in self.table
 
 
-@dataclass(frozen=True, slots=True)
-class AccessOutcome:
-    """What happened to one user request at the cache."""
+class AccessOutcome(NamedTuple):
+    """What happened to one user request at the cache (immutable; built
+    once per request, so a named tuple rather than a frozen dataclass)."""
 
     item: Hashable
     hit: bool
@@ -188,9 +188,7 @@ class PrefetchController:
             if hit:
                 self.estimator.observe_item_size(size)
         self.predictor.record(item)
-        return AccessOutcome(
-            item=item, hit=hit, kind=kind, prefetch_saved=was_untagged and hit
-        )
+        return AccessOutcome(item, hit, kind, was_untagged and hit)
 
     def on_fetch_complete(
         self,

@@ -146,5 +146,6 @@ class CutoffPolicy(PrefetchPolicy):
     ) -> list[Candidate]:
         """The eligible candidates of ``above``, most probable first, capped."""
         chosen = context.eligible(above)
-        chosen.sort(key=_descending_p)
+        if len(chosen) > 1:
+            chosen.sort(key=_descending_p)
         return chosen[: self.budget] if self.budget is not None else chosen

@@ -247,7 +247,11 @@ class MetricsCollector:
         issued_at: Optional[float] = None,
         size: float = 0.0,
     ) -> None:
-        if not self._in_window(issued_at):
+        # _in_window, inlined: this runs once per request
+        if issued_at is None:
+            if not self._measuring:
+                return
+        elif not issued_at >= self.warmup_time:
             return
         self._requests += 1
         if hit:
@@ -279,7 +283,11 @@ class MetricsCollector:
         a user waited on) but is tallied separately so the demand/prefetch
         means keep their origin-uplink meaning.
         """
-        if not self._in_window(issued_at):
+        # _in_window, inlined: this runs once per fetch
+        if issued_at is None:
+            if not self._measuring:
+                return
+        elif not issued_at >= self.warmup_time:
             return
         self._retrieval_time_accum += retrieval_time
         if remote:

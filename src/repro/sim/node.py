@@ -45,14 +45,16 @@ Trace replay runs through one merged ``Simulation``-level driver instead.
 Either driver runs a request inline from its arrival event; a miss that
 must wait continues as a task (:meth:`Environment.start
 <repro.des.environment.Environment.start>`), and a request's planned
-prefetches start together from one URGENT event.  An entity that never
-arrives in the horizon may be homed *idle* (:meth:`ProxyNode.attach_idle`):
-its id and zero stats rows, nothing else.
+prefetches start together from one URGENT event, each completing in a
+callback on its fetch event.  An entity that never arrives in the horizon
+may be homed *idle* (:meth:`ProxyNode.attach_idle`): its id and zero stats
+rows, nothing else.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Hashable, Iterator, KeysView
 
 from repro.des.events import Event
@@ -393,10 +395,11 @@ class RequestPath:
     A request runs inline.  A hit completes at once; a miss that must
     wait is a generator run by :meth:`Environment.start
     <repro.des.environment.Environment.start>`, which schedules no event
-    of its own.  All origin fetches go through ``sim.fetch`` so the
-    topology's routing decides which node's link carries them.  With
-    cooperation enabled, a local miss first runs the remote-probe path
-    (see :meth:`Simulation.probe_targets`).
+    of its own.  A prefetch is no generator: :meth:`_prefetched`, a
+    callback on its fetch event, completes it.  All origin fetches go
+    through ``sim.fetch`` so the topology's routing decides which node's
+    link carries them.  With cooperation enabled, a local miss first runs
+    the remote-probe path (see :meth:`Simulation.probe_targets`).
     """
 
     __slots__ = (
@@ -432,7 +435,7 @@ class RequestPath:
 
     def request(self, item: Hashable) -> None:
         """Serve one request for ``item``, starting now."""
-        t0 = self.env.now
+        t0 = self.env._now
         size = self.sim.origin.size_of(item)
         outcome = self.controller.on_user_access(item, now=t0, size=size)
         if outcome.hit:
@@ -481,7 +484,7 @@ class RequestPath:
                 table.register(item, "demand")
                 yield from self._origin_demand(item)
         self.collector.record_request(
-            hit=False, access_time=self.env.now - t0, issued_at=t0, size=size
+            hit=False, access_time=self.env._now - t0, issued_at=t0, size=size
         )
         self._plan()
 
@@ -506,7 +509,7 @@ class RequestPath:
                 raise
             break
         self.controller.on_fetch_complete(
-            item, now=self.env.now, size=result.request.size, prefetched=False
+            item, now=self.env._now, size=result.request.size, prefetched=False
         )
         self.collector.record_retrieval(
             result.retrieval_time, issued_at=result.request.issued_at
@@ -527,7 +530,7 @@ class RequestPath:
         env = self.env
         collector = self.collector
         coop = self.sim.coop
-        t_probe = env.now
+        t_probe = env._now
         self.table.register(item, "remote")
         yield env.timeout(coop.probe_latency)
         server = None
@@ -555,7 +558,7 @@ class RequestPath:
             # Admission: the requester caches the peer-served copy, tagged
             # like a demand fetch (it served a real request).
             self.controller.on_fetch_complete(
-                item, now=env.now, size=result.request.size, prefetched=False
+                item, now=env._now, size=result.request.size, prefetched=False
             )
         collector.record_retrieval(
             result.retrieval_time, remote=True, issued_at=result.request.issued_at
@@ -579,38 +582,58 @@ class RequestPath:
         load whichever of them plans first.
         """
         controller = self.controller
-        table = self.table
-        chosen = controller.plan(now=self.env.now, load=self.node.load_estimate)
-        fresh = [item for item, _p in chosen if item not in table]
+        chosen = controller.plan(now=self.env._now, load=self.node.load_estimate)
+        if not chosen:
+            return
+        pending = self.table.pending_items()
+        fresh = []
         for item, _p in chosen:
-            if item in table:
+            if item in pending:
                 controller.on_plan_superseded(item)
-        self.collector.record_prefetch_issued(len(fresh))
+            else:
+                fresh.append(item)
         if fresh:
+            self.collector.record_prefetch_issued(len(fresh))
+            register = self.table.register
             for item in fresh:
-                table.register(item, "prefetch")
+                register(item, "prefetch")
             self.env.call_soon(self._start_prefetches, fresh)
 
     def _start_prefetches(self, event) -> None:
-        """Start the prefetches of one plan (``event.value``), in order."""
-        start = self.env.start
-        for item in event._value:
-            start(self._prefetch(item))
+        """Start the prefetches of one plan (``event.value``), in order.
 
-    def _prefetch(self, item: Hashable):
-        """One prefetch, registered at planning time."""
-        try:
-            result = yield self.sim.fetch(item, kind="prefetch", client=self.entity_id)
-        except Exception as exc:
-            self.controller.on_fetch_failed(item)
-            # Wake any joiners before dropping the pending entry (they fall
-            # back to a demand fetch); with none, drop silently.
-            self.table.fail(item, exc)
+        Each completes in :meth:`_prefetched`, appended to its fetch
+        event's callbacks where a task's resume would have gone, so the
+        events it schedules keep their order.
+        """
+        fetch = self.sim.fetch
+        entity_id = self.entity_id
+        prefetched = self._prefetched
+        for item in event._value:
+            try:
+                done = fetch(item, kind="prefetch", client=entity_id)
+            except Exception as exc:
+                self._prefetch_failed(item, exc)
+                continue
+            done.callbacks.append(partial(prefetched, item))
+
+    def _prefetched(self, item: Hashable, event) -> None:
+        """One prefetch, registered at planning time, left the link."""
+        if not event._ok:
+            self._prefetch_failed(item, event._value)
             return
+        result = event._value
+        request = result.request
         self.controller.on_fetch_complete(
-            item, now=self.env.now, size=result.request.size, prefetched=True
+            item, now=self.env._now, size=request.size, prefetched=True
         )
         self.collector.record_retrieval(
-            result.retrieval_time, prefetch=True, issued_at=result.request.issued_at
+            result.retrieval_time, prefetch=True, issued_at=request.issued_at
         )
         self.table.complete(item, result)
+
+    def _prefetch_failed(self, item: Hashable, exc: BaseException) -> None:
+        self.controller.on_fetch_failed(item)
+        # Wake any joiners before dropping the pending entry (they fall
+        # back to a demand fetch); with none, drop silently.
+        self.table.fail(item, exc)

@@ -334,12 +334,6 @@ class SweepRunResult:
     def __iter__(self) -> Iterator[str]:
         return iter(self.results)
 
-    def point(self, key: str) -> SweepPoint:
-        for pt in self.points:
-            if pt.key == key:
-                return pt
-        raise KeyError(key)
-
     def mean(self, key: str, metric: str) -> float:
         return self.results[key].mean(metric)
 

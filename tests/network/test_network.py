@@ -7,7 +7,7 @@ import pytest
 
 from repro.des import Environment
 from repro.errors import ConfigurationError, ParameterError
-from repro.network import FetchKind, OriginServer, SharedLink
+from repro.network import FetchKind, FetchRequest, FetchResult, OriginServer, SharedLink
 from repro.network.topology import HashRing
 from repro.workload.sizes import ExponentialSize
 
@@ -38,19 +38,47 @@ class TestSharedLink:
         assert times == [pytest.approx(1.0), pytest.approx(1.0)]
 
     def test_per_kind_accounting(self):
+        # The link counts bytes and fetches per kind; retrieval times are
+        # the metrics collector's, which the request path feeds.
         env = Environment()
         link = SharedLink(env, bandwidth=10.0)
 
         def proc(env):
             yield link.fetch(item="a", size=2.0, kind="demand", client=0)
             yield link.fetch(item="b", size=3.0, kind="prefetch", client=0)
+            yield link.fetch(item="c", size=4.0, kind=FetchKind.PEER, client=0)
 
         env.process(proc(env))
         env.run()
         assert link.demand_bytes == 2.0 and link.prefetch_bytes == 3.0
+        assert link.peer_bytes == 4.0
         assert link.demand_fetches == 1 and link.prefetch_fetches == 1
-        assert link.demand_retrieval.count == 1
-        assert link.prefetch_retrieval.count == 1
+        assert link.peer_fetches == 1
+
+    @pytest.mark.parametrize("kind", ["bulk", "Demand", "DEMAND", None, ["demand"]])
+    def test_unknown_kind_raises_before_anything_is_counted(self, kind):
+        env = Environment()
+        link = SharedLink(env, bandwidth=10.0)
+        with pytest.raises(ValueError, match="not a valid FetchKind"):
+            link.fetch(item="a", size=2.0, kind=kind, client=0)
+        assert link.offered_load(horizon=1.0) == 0.0
+        assert (link.demand_fetches, link.prefetch_fetches, link.peer_fetches) == (0, 0, 0)
+        assert link.server.num_active == 0 and len(env) == 0
+
+    def test_kind_members_and_values_count_alike(self):
+        env = Environment()
+        link = SharedLink(env, bandwidth=10.0)
+        results = []
+
+        def proc(env):
+            for kind in ("prefetch", FetchKind.PREFETCH):
+                results.append((yield link.fetch(item="a", size=1.0, kind=kind, client=0)))
+
+        env.process(proc(env))
+        env.run()
+        assert link.prefetch_fetches == 2 and link.demand_fetches == 0
+        assert [r.request.kind for r in results] == [FetchKind.PREFETCH] * 2
+        assert all(type(r.request.kind) is FetchKind for r in results)
 
     def test_offered_load(self):
         env = Environment()
@@ -80,6 +108,33 @@ class TestSharedLink:
         assert r.request.client == 7
         assert r.request.kind is FetchKind.PREFETCH
         assert r.completed_at == pytest.approx(1.0)
+
+
+class TestFetchRecords:
+    def records(self):
+        request = FetchRequest("it", 2.0, FetchKind.DEMAND, 3, 1.5)
+        return request, FetchResult(request, 4.0)
+
+    @pytest.mark.parametrize(
+        "field", ["item", "size", "kind", "client", "issued_at"]
+    )
+    def test_request_fields_cannot_be_assigned(self, field):
+        request, _result = self.records()
+        with pytest.raises(AttributeError):
+            setattr(request, field, 0)
+        assert (request.item, request.size, request.kind) == ("it", 2.0, FetchKind.DEMAND)
+        assert (request.client, request.issued_at) == (3, 1.5)
+
+    @pytest.mark.parametrize("field", ["request", "completed_at"])
+    def test_result_fields_cannot_be_assigned(self, field):
+        request, result = self.records()
+        with pytest.raises(AttributeError):
+            setattr(result, field, 0)
+        assert result.request is request and result.completed_at == 4.0
+
+    def test_retrieval_time_is_completion_minus_issue(self):
+        _request, result = self.records()
+        assert result.retrieval_time == 2.5
 
 
 class TestHashRingElasticity:
@@ -228,8 +283,17 @@ class TestOriginServer:
 
         env.process(proc(env))
         env.run()
-        assert origin.demand_count["a"] == 1
-        assert origin.prefetch_count["a"] == 1
+        assert link.demand_fetches == 1 and link.demand_bytes == 1.0
+        assert link.prefetch_fetches == 1 and link.prefetch_bytes == 1.0
+
+    def test_unknown_kind_raises(self):
+        env = Environment()
+        link = SharedLink(env, bandwidth=10.0)
+        origin = OriginServer(link, {"a": 1.0})
+        with pytest.raises(ValueError, match="not a valid FetchKind"):
+            origin.fetch("a", kind="speculative", client=0)
+        assert link.demand_fetches == 0 and link.prefetch_fetches == 0
+        assert link.server.num_active == 0 and len(env) == 0
 
     def test_mean_known_size(self):
         env = Environment()

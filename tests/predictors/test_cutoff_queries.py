@@ -124,8 +124,6 @@ def reference_markov_record(p: MarkovPredictor, item) -> None:
             break
         ctx = history[len(history) - k :]
         p._counts[k].setdefault(ctx, Counter())[item] += 1
-    p._popularity[item] += 1
-    p._total += 1
     p._recent.append(item)
 
 

@@ -29,6 +29,15 @@ class TestAccessPath:
         assert out2.hit and out2.kind == "tagged_hit"
         assert not out2.prefetch_saved
 
+    @pytest.mark.parametrize("field", ["item", "hit", "kind", "prefetch_saved"])
+    def test_outcome_fields_cannot_be_assigned(self, field):
+        out = make_controller().on_user_access("x", now=0.0, size=1.0)
+        with pytest.raises(AttributeError):
+            setattr(out, field, True)
+        assert (out.item, out.hit, out.kind, out.prefetch_saved) == (
+            "x", False, "miss", False
+        )
+
     def test_prefetch_hit_is_untagged_and_saved(self):
         c = make_controller()
         c.on_fetch_complete("x", now=0.5, size=1.0, prefetched=True)

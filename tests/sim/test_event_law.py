@@ -2,8 +2,8 @@
 
 A request runs inline from its arrival, a miss that waits is a task
 (``Environment.start``), a request's planned prefetches start from one
-URGENT event, and a fetch-table join event exists only once someone
-joined.  These tests count the kernel's heap pushes around a request on
+URGENT event and complete as callbacks on their fetch events, and a
+fetch-table join event exists only once someone joined.  These tests count the kernel's heap pushes around a request on
 a hand-built node, and pin the planning order the URGENT start keeps.
 """
 
@@ -125,6 +125,60 @@ class TestEventLaw:
         assert [entry[1] for entry in pushes].count(URGENT) == 1
         assert sim.nodes[0].link.prefetch_fetches == k
         assert len(path.table) == 0
+
+    @pytest.mark.parametrize(
+        "k, law",
+        [
+            # item i has size i on a link of bandwidth 10
+            (1, [(0.0, "start"), (0.1, "timer"), (0.1, "completion")]),
+            (
+                3,
+                [
+                    (0.0, "start"),
+                    # each arrival re-arms the timer for the head (item 1)
+                    (0.1, "timer"), (0.2, "timer"), (0.3, "timer"),
+                    # each completion arms the next head's timer
+                    (0.3, "completion"), (0.5, "timer"),
+                    (0.5, "completion"), (0.6, "timer"),
+                    (0.6, "completion"),
+                ],
+            ),
+        ],
+    )
+    def test_planned_prefetches_run_without_tasks(
+        self, tmp_path, pushes, monkeypatch, k, law
+    ):
+        # A prefetch completes in a callback on its fetch event: no task
+        # starts, and the heap sees only the plan's URGENT start, the PS
+        # timers and the link completions.
+        from repro.des.environment import Environment
+
+        starts = []
+        start = Environment.start
+
+        def counting_start(env, generator):
+            starts.append(generator)
+            return start(env, generator)
+
+        monkeypatch.setattr(Environment, "start", counting_start)
+        sim, path = hand_built(tmp_path, pushes)
+        cache(sim, 5)
+        scripted_plan(sim.clients[0], {1: [(i, 0.9) for i in range(1, k + 1)]})
+        path.request(5)  # a hit that plans k prefetches
+        sim.env.run()
+        assert starts == []
+
+        def kind(entry):
+            if entry[1] == URGENT:
+                return "start"
+            return "completion" if isinstance(entry[3].value, FetchResult) else "timer"
+
+        assert [(round(e[0], 12), kind(e)) for e in pushes] == law
+        assert [e[1] for e in pushes] == [URGENT] + [NORMAL] * (len(law) - 1)
+        assert sim.nodes[0].link.prefetch_fetches == k
+        assert len(path.table) == 0
+        assert all(i in sim.clients[0].cache for i in range(1, k + 1))
+        assert sim.clients[0].stats.prefetches_completed == k
 
     def test_fetch_completing_without_joiner_pushes_no_table_event(self, pushes):
         from repro.des import Environment

@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from repro.des.events import Event
+from repro.prefetch import PrefetchController
 from repro.sim import SimulationConfig
 from repro.sim.simulation import Simulation
 from repro.workload import TraceRecord, WorkloadSpec, save_trace
@@ -69,6 +70,15 @@ class FailingPrefetchOrigin:
             ev.fail(RuntimeError(f"prefetch of {item!r} aborted"),
                     delay=self.delay)
             return ev
+        return self._origin.fetch(item, kind=kind, client=client)
+
+
+class RaisingPrefetchOrigin(FailingPrefetchOrigin):
+    """Origin wrapper whose *prefetch* fetches raise when issued."""
+
+    def fetch(self, item, *, kind, client):
+        if kind == "prefetch":
+            raise RuntimeError(f"prefetch of {item!r} cannot be issued")
         return self._origin.fetch(item, kind=kind, client=client)
 
 
@@ -143,6 +153,32 @@ class TestDanglingJoinerDeadlock:
         scripted_plan(sim.clients[0], {1: [(8, 1.0)]})
         out = sim.run()
         assert out.metrics.requests == 2
+
+    def test_prefetch_that_raises_when_issued_is_released(
+        self, tmp_path, monkeypatch
+    ):
+        # The prefetch of 8 planned at t=1 raises inside the fetch call:
+        # it fails like an aborted one, at once, so no pending entry is
+        # left for the request at t=1.2 to join and the run goes on.
+        path = write_trace(tmp_path, [
+            TraceRecord(time=1.0, client=0, item=7, size=0.01),
+            TraceRecord(time=1.2, client=0, item=8, size=0.01),
+            TraceRecord(time=3.0, client=0, item=9, size=0.01),
+        ])
+        sim = make_sim(path)
+        sim.origin = RaisingPrefetchOrigin(sim.origin, sim.env)
+        released = []
+        monkeypatch.setattr(
+            PrefetchController, "on_fetch_failed",
+            lambda controller, item: released.append(item),
+        )
+        scripted_plan(sim.clients[0], {1: [(8, 1.0)]})
+        out = sim.run()
+        assert out.metrics.requests == 3
+        assert released == [8]
+        stats = sim.nodes[0].fetch_tables[0].stats
+        assert (stats.prefetch_registered, stats.failures, stats.joins) == (1, 1, 0)
+        assert out.link_demand_fetches == 3 and out.link_prefetch_fetches == 0
 
 
 class TestPendingEventOverwrite:

@@ -320,7 +320,7 @@ class TestResultViews:
             [SweepPoint(key="m", config=_mirror_config(), replications=2)]
         )
         assert len(grid.raw["m"]) == 2
-        assert grid.point("m").replications == 2
+        assert [(p.key, p.replications) for p in grid.points] == [("m", 2)]
 
 
 class _OnePointExperiment(Experiment):
