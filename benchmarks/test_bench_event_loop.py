@@ -28,7 +28,7 @@ def _drain_timeout_chain() -> float:
         for _ in range(count):
             yield env.timeout(1.0)
 
-    env.process(ticker(env, NUM_TIMEOUTS))
+    env.start(ticker(env, NUM_TIMEOUTS))
     env.run()
     return env.now
 

@@ -33,10 +33,10 @@ def format_table(
     """Monospace table with a header rule, columns right-aligned.
 
     >>> print(format_table(["x", "y"], [[1, 2.5], [10, float("nan")]]))
-      x    y
-    ---  ---
-      1  2.5
-     10   --
+     x    y
+    --  ---
+     1  2.5
+    10   --
     """
     str_rows = [[format_value(v, precision=precision) for v in row] for row in rows]
     str_headers = [str(h) for h in headers]

@@ -1,17 +1,18 @@
 """Discrete-event simulation kernel (SimPy-style, dependency-free).
 
-Built because the planned SimPy substrate is unavailable offline; the API
-mirrors SimPy's process-interaction model so the simulation code reads like
-standard SimPy, plus an exact event-driven
-:class:`~repro.des.processor_sharing.ProcessorSharingServer` which SimPy
-itself lacks and the paper's M/G/1 round-robin model requires.  Besides
-processes the kernel runs *tasks* (:meth:`Environment.start`): generators
-that schedule no event of their own, which is how the request path runs.
+Built because the planned SimPy substrate is unavailable offline.  Events
+and timeouts read like SimPy's, but the kernel runs only what the paper's
+system needs: callbacks scheduled at a time (:meth:`Environment.call_at`,
+:meth:`Environment.call_soon`) and generators started as processes
+(:meth:`Environment.start`) that schedule no event of their own.  It adds
+an exact event-driven
+:class:`~repro.des.processor_sharing.ProcessorSharingServer`, which SimPy
+itself lacks and the paper's M/G/1 round-robin model requires.
 """
 
 from repro.des.environment import NORMAL, URGENT, Environment
 from repro.des.events import Event, Process, Timeout
-from repro.des.monitors import Tally, TimeSeries, TimeWeightedValue
+from repro.des.monitors import Tally, TimeWeightedValue
 from repro.des.processor_sharing import ProcessorSharingServer, PSJob
 from repro.des.rng import RandomStreams
 
@@ -24,7 +25,6 @@ __all__ = [
     "ProcessorSharingServer",
     "RandomStreams",
     "Tally",
-    "TimeSeries",
     "TimeWeightedValue",
     "URGENT",
 ]

@@ -4,21 +4,24 @@
 queue.  Events scheduled at equal times are processed in (priority,
 insertion-order) — deterministic and FIFO within a priority class, which
 the test suite pins down because reproducibility of whole simulations
-depends on it.
+depends on it.  Work enters the queue as callbacks
+(:meth:`~Environment.call_at`, :meth:`~Environment.call_soon`) or as
+generators run by :meth:`~Environment.start`.
 """
 
 from __future__ import annotations
 
+import math
 from heapq import heappop, heappush
 from typing import Any, Generator
 
-from repro.des.events import Event, Process, Task, Timeout, _wait
+from repro.des.events import Event, Process, Timeout, _wait
 from repro.errors import SimulationError
 
 __all__ = ["Environment", "URGENT", "NORMAL"]
 
 #: Priority for events that must precede same-time normal events
-#: (process initialisation, :meth:`Environment.call_soon`).
+#: (:meth:`Environment.call_soon`).
 URGENT = 0
 #: Default scheduling priority.
 NORMAL = 1
@@ -43,10 +46,10 @@ class Environment:
     >>> def proc(env):
     ...     yield env.timeout(5)
     ...     log.append(env.now)
-    >>> _ = env.process(proc(env))
+    >>> env.start(proc(env))
     >>> env.run()
     >>> log
-    [5]
+    [5.0]
     """
 
     def __init__(self, initial_time: float = 0.0) -> None:
@@ -62,10 +65,6 @@ class Environment:
         """Current simulation time."""
         return self._now
 
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
-        return self._queue[0][0] if self._queue else float("inf")
-
     def __len__(self) -> int:
         """Number of scheduled (not yet processed) events."""
         return len(self._queue)
@@ -73,12 +72,12 @@ class Environment:
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-    def schedule(self, event: Event, *, delay: float = 0.0, priority: int = NORMAL) -> None:
+    def schedule(self, event: Event, *, delay: float = 0.0) -> None:
         """Queue ``event`` to be processed ``delay`` after the current time."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay!r})")
         self._eid = eid = self._eid + 1
-        heappush(self._queue, (self._now + delay, priority, eid, event))
+        heappush(self._queue, (self._now + delay, NORMAL, eid, event))
 
     def step(self) -> None:
         """Process exactly one event (advance the clock to it).
@@ -102,20 +101,17 @@ class Environment:
             callback(event)
         if not event._ok and not callbacks:
             # A failed event nobody waited for: surface the error loudly
-            # rather than silently dropping a crashed process.
+            # rather than silently dropping it.
             raise event._value
 
-    def run(self, until: float | Event | None = None) -> Any:
-        """Run until the queue empties, a deadline passes, or an event fires.
+    def run(self, until: float | None = None) -> None:
+        """Process events until the queue empties or a deadline passes.
 
         Parameters
         ----------
         until:
-            ``None`` — run to exhaustion; a number — run until the clock
-            reaches it (the clock is set to exactly ``until``); an
-            :class:`Event` — run until it is processed and return its value
-            (raising if it failed; returning immediately if it was already
-            processed).
+            ``None`` — run to exhaustion; a number — process every event
+            due by ``until``, then set the clock to exactly ``until``.
 
         Notes
         -----
@@ -124,59 +120,16 @@ class Environment:
         of events don't each pay a method call and repeated attribute
         lookups.  Processing order is identical to repeated ``step()`` calls.
         """
+        if until is None:
+            deadline = math.inf
+        else:
+            deadline = float(until)
+            if deadline < self._now:
+                raise SimulationError(
+                    f"run(until={deadline}) is in the past (now={self._now})"
+                )
         queue = self._queue
         pop = heappop
-
-        if until is None:
-            while queue:
-                when, _prio, _eid, event = pop(queue)
-                self._now = when
-                callbacks = event.callbacks
-                if callbacks is None:  # pragma: no cover - double-processing
-                    raise SimulationError(f"{event!r} processed twice")
-                event.callbacks = None
-                for callback in callbacks:
-                    callback(event)
-                if not event._ok and not callbacks:
-                    raise event._value
-            return None
-
-        if isinstance(until, Event):
-            sentinel = until
-            if sentinel.callbacks is None:
-                # Already processed before run() was called: no busy
-                # polling, just report its outcome at the current time.
-                if not sentinel._ok:
-                    raise sentinel._value
-                return sentinel._value
-            # The sentinel flags completion via its own callback, so the
-            # loop never probes ``sentinel.processed`` per step.
-            fired: list[Event] = []
-            sentinel.callbacks.append(fired.append)
-            while not fired:
-                if not queue:
-                    raise SimulationError(
-                        "run(until=event): queue exhausted before the event fired"
-                    )
-                when, _prio, _eid, event = pop(queue)
-                self._now = when
-                callbacks = event.callbacks
-                if callbacks is None:  # pragma: no cover - double-processing
-                    raise SimulationError(f"{event!r} processed twice")
-                event.callbacks = None
-                for callback in callbacks:
-                    callback(event)
-                if not event._ok and not callbacks:
-                    raise event._value
-            if not sentinel._ok:
-                raise sentinel._value
-            return sentinel._value
-
-        deadline = float(until)
-        if deadline < self._now:
-            raise SimulationError(
-                f"run(until={deadline}) is in the past (now={self._now})"
-            )
         while queue and queue[0][0] <= deadline:
             when, _prio, _eid, event = pop(queue)
             self._now = when
@@ -188,8 +141,8 @@ class Environment:
                 callback(event)
             if not event._ok and not callbacks:
                 raise event._value
-        self._now = deadline
-        return None
+        if until is not None:
+            self._now = deadline
 
     # ------------------------------------------------------------------
     # Factories
@@ -221,10 +174,9 @@ class Environment:
 
         The primitive behind the arrival drivers: each arrival is pushed
         onto the heap with its callback already attached, so firing it
-        costs one callback call — no generator resume, no ``Process``
-        machinery per event.  ``value`` rides on the event
-        (``event.value``) for the callback to consume.  The queue entry
-        carries ``time`` itself, so a schedule built from absolute
+        costs one callback call, no generator resume.  ``value`` rides on
+        the event (``event.value``) for the callback to consume.  The queue
+        entry carries ``time`` itself, so a schedule built from absolute
         timestamps (trace replay) reproduces them exactly instead of
         accumulating float error through repeated ``now + delay`` round
         trips.  A process can wait on the returned event like any other.
@@ -243,9 +195,9 @@ class Environment:
         return event
 
     def call_soon(self, callback, value: Any = None) -> Event:
-        """Schedule ``callback(event)`` now, as URGENT as a process start:
-        after the URGENT events already queued, before any NORMAL event at
-        this time."""
+        """Schedule ``callback(event)`` now, at URGENT priority: after the
+        URGENT events already queued, before any NORMAL event at this
+        time."""
         event = Event.__new__(Event)
         event.env = self
         event.callbacks = [callback]
@@ -255,21 +207,18 @@ class Environment:
         heappush(self._queue, (self._now, URGENT, eid, event))
         return event
 
-    def process(self, generator: Generator[Any, Any, Any]) -> Process:
-        """Start a process from a generator; returns its completion event."""
-        return Process(self, generator)
-
     def start(self, generator: Generator[Any, Any, Any]) -> None:
-        """Run ``generator`` now, as a :class:`~repro.des.events.Task`.
+        """Run ``generator`` now, as a :class:`~repro.des.events.Process`.
 
         It runs to its first ``yield`` before this returns, then is resumed
-        by each event it yields.  Unlike :meth:`process`, starting and
-        finishing it schedule nothing, and nothing can wait on it.  An
-        exception it raises propagates to the caller, so from within the
-        event loop out of :meth:`run`.
+        by each event it yields.  Starting and finishing it schedule
+        nothing, and nothing can wait on it.  An exception it raises
+        propagates to the caller, so from within the event loop out of
+        :meth:`run`.  To start it at this time but behind the callback
+        that is running, start it from :meth:`call_soon`.
         """
         try:
             event = generator.send(None)
         except StopIteration:
             return
-        _wait(self, event, Task(self, generator)._resume)
+        _wait(self, event, Process(self, generator)._resume)

@@ -1,19 +1,19 @@
 """Event primitives for the discrete-event simulation kernel.
 
-The kernel follows the SimPy process-interaction style (the reproduction
-plan called for SimPy, which is unavailable offline — see DESIGN.md):
-*processes* are Python generators that ``yield`` :class:`Event` objects and
-are resumed when those events *trigger*.  An event carries a value (sent
-into the generator) or an exception (thrown into it).
+The kernel follows the SimPy style (the reproduction plan called for
+SimPy, which is unavailable offline — see DESIGN.md): an :class:`Event`
+is a one-shot occurrence whose callbacks the environment runs when it
+processes it, and a :class:`Process` drives a Python generator that
+yields events, resuming it as each one is processed.  An event carries a
+value (sent into the generator) or an exception (thrown into it).
 
 Event lifecycle::
 
     PENDING ──succeed(value)──► TRIGGERED ──(env.step)──► PROCESSED
         └────fail(exception)──► TRIGGERED (failed)
 
-A generator runs either as a :class:`Process`, itself an event that other
-processes can wait on, or as a :class:`Task`, which is no event: starting
-and finishing one schedule nothing (see :meth:`Environment.start`).
+A process is no event: :meth:`Environment.start` runs it at once, and
+starting or finishing one schedules nothing, so nothing waits for it.
 """
 
 from __future__ import annotations
@@ -26,14 +26,13 @@ from repro.errors import SimulationError
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.des.environment import Environment
 
-__all__ = ["Event", "Timeout", "Process", "Task"]
+__all__ = ["Event", "Timeout", "Process"]
 
 _PENDING = object()
 
-#: Priority constants mirrored from :mod:`repro.des.environment` (importing
-#: them would create a cycle); tests/des/test_environment.py pins the
-#: mirrored values and the inlined queue-entry layout against drift.
-_URGENT = 0
+#: :data:`repro.des.environment.NORMAL`, mirrored (importing it would
+#: create a cycle); tests/des/test_environment.py pins the mirrored value
+#: and the inlined queue-entry layout against drift.
 _NORMAL = 1
 
 
@@ -141,70 +140,14 @@ class Timeout(Event):
     __slots__ = ()
 
 
-class Initialize(Event):
-    """Internal: starts a freshly created process at the current time."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", process: "Process") -> None:
-        super().__init__(env)
-        self._ok = True
-        self._value = None
-        self.callbacks = [process._resume]
-        env.schedule(self, priority=_URGENT)
-
-
-class Process(Event):
-    """A running process: wraps a generator yielding events.
-
-    The process object is itself an event that triggers when the generator
-    returns (value = return value) or raises (failed event) — so processes
-    can wait for each other (``yield env.process(child())``).
-    """
-
-    __slots__ = ("_generator",)
-
-    def __init__(self, env: "Environment", generator: Generator[Any, Any, Any]) -> None:
-        if not hasattr(generator, "send") or not hasattr(generator, "throw"):
-            raise TypeError(
-                f"Process requires a generator, got {type(generator).__name__}; "
-                f"did you call the process function?"
-            )
-        super().__init__(env)
-        self._generator = generator
-        Initialize(env, self)
-
-    def _resume(self, event: Event) -> None:
-        """Advance the generator with ``event``'s outcome."""
-        env = self.env
-        generator = self._generator
-        try:
-            if event._ok:
-                next_event = generator.send(event._value)
-            else:
-                next_event = generator.throw(event._value)
-        except StopIteration as stop:
-            self._ok = True
-            self._value = stop.value
-            env.schedule(self)
-            return
-        except BaseException as exc:
-            self._ok = False
-            self._value = exc
-            env.schedule(self)
-            return
-        _wait(env, next_event, self._resume)
-
-
-class Task:
+class Process:
     """A generator driven by the events it yields, with no events of its own.
 
-    Started by :meth:`Environment.start`.  Unlike a :class:`Process`, a
-    task is not an event: it runs at once instead of from an initialising
-    event, and finishing schedules nothing, so nothing can wait for it.
-    An exception the generator does not handle propagates out of the
-    callback that resumed it, and so out of :meth:`Environment.run` at
-    the instant it was raised.
+    Started only by :meth:`Environment.start`, which runs it to its first
+    ``yield`` at once.  It is not an event: finishing schedules nothing,
+    so nothing can wait for it.  An exception the generator does not
+    handle propagates out of the callback that resumed it, and so out of
+    :meth:`Environment.run` at the instant it was raised.
     """
 
     __slots__ = ("env", "_generator")
@@ -234,7 +177,7 @@ def _wait(env: "Environment", event: Any, resume: Callable[[Event], None]) -> No
     if not isinstance(event, Event):
         raise SimulationError(
             f"process yielded {event!r}; processes must yield Event "
-            f"instances (Timeout, Process, resource requests, ...)"
+            f"instances (timeouts, fetch events, ...)"
         )
     if event.env is not env:
         raise SimulationError("process yielded an event from another environment")

@@ -1,4 +1,4 @@
-"""Online statistics for simulations: tallies, time-weighted values, series.
+"""Online statistics for simulations: tallies and time-weighted values.
 
 Simulation metrics come in two flavours and conflating them is a classic
 bug this module's types make structurally impossible:
@@ -8,9 +8,6 @@ bug this module's types make structurally impossible:
   mean/variance;
 * *state* statistics (queue length, cache occupancy) — use
   :class:`TimeWeightedValue`, which integrates the value over time.
-
-:class:`TimeSeries` records (time, value) pairs for post-hoc analysis and
-plotting of warmup transients.
 """
 
 from __future__ import annotations
@@ -18,14 +15,12 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from repro.errors import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.des.environment import Environment
 
-__all__ = ["Tally", "TimeWeightedValue", "TimeSeries"]
+__all__ = ["Tally", "TimeWeightedValue"]
 
 
 class Tally:
@@ -156,39 +151,3 @@ class TimeWeightedValue:
         self._start = self.env.now
         self._last_change = self.env.now
         self._integral = 0.0
-
-
-class TimeSeries:
-    """Append-only record of (time, value) samples."""
-
-    def __init__(self, name: str = "") -> None:
-        self.name = name
-        self._times: list[float] = []
-        self._values: list[float] = []
-
-    def record(self, time: float, value: float) -> None:
-        if self._times and time < self._times[-1]:
-            raise SimulationError(
-                f"time series {self.name!r} got out-of-order sample at {time}"
-            )
-        self._times.append(float(time))
-        self._values.append(float(value))
-
-    def __len__(self) -> int:
-        return len(self._times)
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.asarray(self._times, dtype=float)
-
-    @property
-    def values(self) -> np.ndarray:
-        return np.asarray(self._values, dtype=float)
-
-    def after(self, time: float) -> "TimeSeries":
-        """Samples at or after ``time`` (drop warmup transient)."""
-        out = TimeSeries(self.name)
-        for t, v in zip(self._times, self._values):
-            if t >= time:
-                out.record(t, v)
-        return out

@@ -1,8 +1,8 @@
 """Exponentially-weighted moving average with initialisation-bias correction.
 
-Used by the online rate estimators: request rate λ and mean item size s̄
-drift in non-stationary workloads, and the threshold ``p_th = f̂′λ̂s̄̂/b``
-should track them.  The bias correction (à la Adam) divides by
+Used by the online threshold estimator for the mean item size s̄, which
+drifts in non-stationary workloads; the threshold ``p_th = f̂′λ̂s̄̂/b``
+should track it.  The bias correction (à la Adam) divides by
 ``1 − (1−α)ⁿ`` so early estimates are unbiased rather than dragged toward
 the zero initial value.
 """
@@ -24,8 +24,8 @@ class EWMA:
     >>> e.value
     10.0
     >>> e.update(0.0)
-    >>> round(e.value, 4)    # (0.5*10 + 0.25*0)/0.75
-    6.6667
+    >>> round(e.value, 4)    # (0.25*10 + 0.5*0)/0.75
+    3.3333
     """
 
     __slots__ = ("alpha", "_raw", "_updates")

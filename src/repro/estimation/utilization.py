@@ -4,7 +4,7 @@ The threshold rule is only actionable if its inputs can be measured while
 the system runs:
 
 * ``ĥ′`` comes from the §4 tag algorithm (:mod:`repro.estimation.hit_ratio`),
-* ``λ̂`` from observed request inter-arrival times (EWMA of rate),
+* ``λ̂`` from observed request times (a sliding window of arrivals),
 * ``s̄̂`` from observed item sizes (EWMA),
 * ``b`` is a configuration constant (link capacity).
 
@@ -18,6 +18,7 @@ models A and B:
 from __future__ import annotations
 
 import math
+from collections import deque
 from typing import Literal
 
 from repro.errors import ParameterError
@@ -39,15 +40,9 @@ class RateEstimator:
 
     __slots__ = ("window", "_times")
 
-    def __init__(self, window: int = 512, alpha: float | None = None) -> None:
-        # ``alpha`` accepted (and ignored beyond sizing) for call-site
-        # compatibility: smaller alpha historically meant longer memory.
-        if alpha is not None and not 0.0 < alpha <= 1.0:
-            raise ParameterError(f"alpha must be in (0, 1], got {alpha!r}")
+    def __init__(self, window: int = 512) -> None:
         if window < 2:
             raise ParameterError(f"window must be >= 2, got {window!r}")
-        from collections import deque
-
         self.window = int(window)
         self._times: "deque[float]" = deque(maxlen=self.window)
 
@@ -79,11 +74,13 @@ class ThresholdEstimator:
         Link capacity ``b`` (known configuration).
     cache_size:
         ``n̄(C)`` for the model-B correction; optional for model A.
-    alpha:
-        EWMA smoothing for the rate and size estimators.
 
     Notes
     -----
+    ``λ̂`` is a :class:`RateEstimator` over the last 512 requests and
+    ``s̄̂`` an :class:`~repro.estimation.ewma.EWMA` of item sizes with
+    its default smoothing (α = 0.05).
+
     Until enough data has arrived the estimate is NaN; the prefetch
     controller treats NaN as "threshold unknown — do not prefetch", the
     conservative default (prefetching too early is the failure mode the
@@ -97,15 +94,14 @@ class ThresholdEstimator:
         bandwidth: float,
         *,
         cache_size: float | None = None,
-        alpha: float = 0.05,
     ) -> None:
         if bandwidth <= 0:
             raise ParameterError(f"bandwidth must be > 0, got {bandwidth!r}")
         self.bandwidth = float(bandwidth)
         self.cache_size = cache_size
         self.h_prime = HPrimeEstimator()
-        self.request_rate = RateEstimator(alpha=alpha)
-        self.item_size = EWMA(alpha=alpha)
+        self.request_rate = RateEstimator()
+        self.item_size = EWMA()
 
     # ------------------------------------------------------------------
     # Observation hooks (called by the prefetch controller)

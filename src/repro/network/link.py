@@ -33,11 +33,14 @@ class SharedLink:
     >>> from repro.des import Environment
     >>> env = Environment()
     >>> link = SharedLink(env, bandwidth=10.0)
+    >>> times = []
     >>> def fetch(env, link):
     ...     result = yield link.fetch(item="x", size=5.0, kind="demand", client=0)
-    ...     return result.retrieval_time
-    >>> env.run(env.process(fetch(env, link)))
-    0.5
+    ...     times.append(result.retrieval_time)
+    >>> env.start(fetch(env, link))
+    >>> env.run()
+    >>> times
+    [0.5]
     """
 
     def __init__(self, env: Environment, bandwidth: float) -> None:

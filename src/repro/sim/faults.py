@@ -348,10 +348,14 @@ class FaultRuntime:
             if ev.kind == "ring-shrink" and cooperative:
                 # Planned decommission: push cached content to the new
                 # owners over the departing node's peer link *before*
-                # going dark (new demand already routes elsewhere).
+                # going dark (new demand already routes elsewhere).  The
+                # push starts behind this event, after the drain below,
+                # which would otherwise fail its first transfer.
                 items = self._held_items(node)
                 if items:
-                    sim.env.process(self._push_out(node, items))
+                    sim.env.call_soon(
+                        lambda event: sim.env.start(self._push_out(node, items))
+                    )
             # Routing no longer targets this node; whatever is still in
             # flight on its links dies here and fails over.
             node.drain()
@@ -368,7 +372,9 @@ class FaultRuntime:
             if cooperative:
                 plan = self._warm_plan(node)
                 if plan:
-                    sim.env.process(self._warm_in(node, plan))
+                    sim.env.call_soon(
+                        lambda event: sim.env.start(self._warm_in(node, plan))
+                    )
         self._record_row(ev)
 
     # ------------------------------------------------------------------

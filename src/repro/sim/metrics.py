@@ -180,7 +180,7 @@ class MetricsCollector:
     """Streaming collector bound to one environment and link.
 
     Usage: create, call :meth:`start_measuring` at the warmup boundary
-    (typically from a small process), feed per-request observations, then
+    (:meth:`arm_warmup` schedules it), feed per-request observations, then
     :meth:`finalize`.
     """
 
@@ -222,10 +222,9 @@ class MetricsCollector:
         self.link.server._advance()
         self._busy_start = self.link.server._busy_time
 
-    def warmup_process(self):
-        """DES process that triggers :meth:`start_measuring` on time."""
-        yield self.env.timeout(self.warmup_time)
-        self.start_measuring()
+    def arm_warmup(self) -> None:
+        """Schedule :meth:`start_measuring` for ``warmup_time``."""
+        self.env.call_at(self.warmup_time, lambda event: self.start_measuring())
 
     # ------------------------------------------------------------------
     # Observations (called by client processes)

@@ -106,58 +106,59 @@ def run_mirror(config: MirrorConfig) -> SimulationMetrics:
     env = Environment()
     link = SharedLink(env, bandwidth=params.bandwidth)
     collector = MetricsCollector(env, link, warmup_time=config.warmup)
-    env.process(collector.warmup_process())
+    collector.arm_warmup()
 
     h = float(np.clip(model_a_hit_ratio(params, config.n_f, config.p), 0.0, 1.0))
     n_f_whole = int(np.floor(config.n_f))
     n_f_frac = config.n_f - n_f_whole
 
-    def demand_fetch(env, size):
+    def demand_fetch(size):
         t0 = env.now
         result = yield link.fetch(item=None, size=size, kind="demand", client=0)
         collector.record_request(hit=False, access_time=env.now - t0)
         collector.record_retrieval(result.retrieval_time)
 
-    def prefetch_fetch(env, size, delay):
+    def prefetch_fetch(size, delay):
         if delay > 0.0:
             yield env.timeout(delay)
         result = yield link.fetch(item=None, size=size, kind="prefetch", client=0)
         collector.record_retrieval(result.retrieval_time, prefetch=True)
 
-    def request_source(env):
-        while True:
-            yield env.timeout(arrival_rng.exponential(1.0 / params.request_rate))
-            # The user request itself
-            if coin_rng.random() < h:
-                collector.record_request(hit=True, access_time=0.0)
-            else:
-                env.process(demand_fetch(env, float(sizes.sample(size_rng))))
-            if config.prefetch_timing == "independent":
-                continue  # prefetches come from their own source process
-            count = n_f_whole + (1 if coin_rng.random() < n_f_frac else 0)
-            for _ in range(count):
-                collector.record_prefetch_issued()
-                delay = (
-                    float(coin_rng.exponential(1.0 / params.request_rate))
-                    if config.prefetch_timing == "jittered"
-                    else 0.0
-                )
-                env.process(prefetch_fetch(env, float(sizes.sample(size_rng)), delay))
-
-    def prefetch_source(env):
-        """Independent Poisson stream of prefetch jobs at rate n̄(F)·λ."""
-        prefetch_rng = streams.get("prefetch-arrivals")
-        rate = config.n_f * params.request_rate
-        if rate <= 0:
-            return
-        yield env.timeout(prefetch_rng.exponential(1.0 / rate))
-        while True:
+    def request(event):
+        # Armed before this request's fetches start, so an arrival tied
+        # with one of their link events comes first.
+        env.call_at(
+            env.now + arrival_rng.exponential(1.0 / params.request_rate), request
+        )
+        # The user request itself
+        if coin_rng.random() < h:
+            collector.record_request(hit=True, access_time=0.0)
+        else:
+            env.start(demand_fetch(float(sizes.sample(size_rng))))
+        if config.prefetch_timing == "independent":
+            return  # prefetches come from their own source
+        count = n_f_whole + (1 if coin_rng.random() < n_f_frac else 0)
+        for _ in range(count):
             collector.record_prefetch_issued()
-            env.process(prefetch_fetch(env, float(sizes.sample(size_rng)), 0.0))
-            yield env.timeout(prefetch_rng.exponential(1.0 / rate))
+            delay = (
+                float(coin_rng.exponential(1.0 / params.request_rate))
+                if config.prefetch_timing == "jittered"
+                else 0.0
+            )
+            env.start(prefetch_fetch(float(sizes.sample(size_rng)), delay))
 
-    env.process(request_source(env))
-    if config.prefetch_timing == "independent":
-        env.process(prefetch_source(env))
+    env.call_at(arrival_rng.exponential(1.0 / params.request_rate), request)
+    # Prefetches of the independent timing: their own Poisson stream at
+    # rate n̄(F)·λ.
+    rate = config.n_f * params.request_rate
+    if config.prefetch_timing == "independent" and rate > 0:
+        prefetch_rng = streams.get("prefetch-arrivals")
+
+        def prefetch(event):
+            env.call_at(env.now + prefetch_rng.exponential(1.0 / rate), prefetch)
+            collector.record_prefetch_issued()
+            env.start(prefetch_fetch(float(sizes.sample(size_rng)), 0.0))
+
+        env.call_at(prefetch_rng.exponential(1.0 / rate), prefetch)
     env.run(until=config.duration)
     return collector.finalize()

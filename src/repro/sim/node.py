@@ -43,7 +43,7 @@ Arrivals reach it through one synthetic driver,
 one-member client class, and a stationary workload is one neutral phase.
 Trace replay runs through one merged ``Simulation``-level driver instead.
 Either driver runs a request inline from its arrival event; a miss that
-must wait continues as a task (:meth:`Environment.start
+must wait continues as a process (:meth:`Environment.start
 <repro.des.environment.Environment.start>`), and a request's planned
 prefetches start together from one URGENT event, each completing in a
 callback on its fetch event.  An entity that never arrives in the horizon
@@ -603,7 +603,7 @@ class RequestPath:
         """Start the prefetches of one plan (``event.value``), in order.
 
         Each completes in :meth:`_prefetched`, appended to its fetch
-        event's callbacks where a task's resume would have gone, so the
+        event's callbacks where a process's resume would have gone, so the
         events it schedules keep their order.
         """
         fetch = self.sim.fetch

@@ -703,9 +703,6 @@ class Simulation:
         topo = config.topology
         streams = self.streams
         schedule = spec.make_schedule()
-        for node in self.nodes:
-            if self._owns_node(node.node_id):
-                self.env.process(node.collector.warmup_process())
         if config.client_backend == "aggregated":
             classes = partition_client_classes(spec, topo)
             # A shard worker keeps only its nodes' classes; the *full*
@@ -878,6 +875,12 @@ class Simulation:
         assembles its output from these payloads, and each worker of the
         parallel node backend ships them back to the parent.
         """
+        # Armed just before the loop, behind every event the build and the
+        # fault runtime queued: a boundary tied with one of them comes
+        # after it.
+        for node in self.nodes:
+            if self._owns_node(node.node_id):
+                node.collector.arm_warmup()
         with _collector_scope(freeze=True):
             self.env.run(until=self.config.duration)
         owned = (

@@ -37,7 +37,7 @@ class ZipfCatalog:
     >>> cat = ZipfCatalog(num_items=100, exponent=1.0)
     >>> cat.probability(0) > cat.probability(50)
     True
-    >>> abs(sum(cat.probabilities) - 1.0) < 1e-12
+    >>> abs(float(sum(cat.probabilities)) - 1.0) < 1e-12
     True
     """
 

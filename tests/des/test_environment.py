@@ -1,4 +1,4 @@
-"""Tests for the DES event loop and process semantics."""
+"""Tests for the DES event loop, callbacks and processes."""
 
 import pytest
 
@@ -8,11 +8,11 @@ from repro.errors import SimulationError
 
 class TestSchedulingContract:
     def test_priority_constants_pinned(self):
-        """events.py mirrors URGENT/NORMAL to avoid an import cycle; the
-        mirrored values must stay in lockstep with the environment's."""
+        """events.py mirrors NORMAL to avoid an import cycle; the mirrored
+        value must stay in lockstep with the environment's."""
         from repro.des import environment, events
 
-        assert environment.URGENT == events._URGENT == 0
+        assert environment.URGENT == 0
         assert environment.NORMAL == events._NORMAL == 1
 
     def test_queue_entry_layout(self):
@@ -46,8 +46,21 @@ class TestClock:
         with pytest.raises(SimulationError):
             env.run(until=1.0)
 
-    def test_peek_empty_is_inf(self):
-        assert Environment().peek() == float("inf")
+    def test_run_until_processes_events_due_at_the_deadline(self):
+        env = Environment()
+        log = []
+        env.call_at(2.0, lambda event: log.append(env.now))
+        env.call_at(2.5, lambda event: log.append(env.now))
+        env.run(until=2.0)
+        assert log == [2.0] and env.now == 2.0 and len(env) == 1
+        env.run()
+        assert log == [2.0, 2.5]
+
+    def test_run_to_exhaustion_leaves_clock_at_last_event(self):
+        env = Environment()
+        env.timeout(3.0)
+        env.run()
+        assert env.now == 3.0 and len(env) == 0
 
 
 class TestTimeoutOrdering:
@@ -59,9 +72,9 @@ class TestTimeoutOrdering:
             yield env.timeout(delay)
             log.append((env.now, tag))
 
-        env.process(proc(env, 3.0, "c"))
-        env.process(proc(env, 1.0, "a"))
-        env.process(proc(env, 2.0, "b"))
+        env.start(proc(env, 3.0, "c"))
+        env.start(proc(env, 1.0, "a"))
+        env.start(proc(env, 2.0, "b"))
         env.run()
         assert log == [(1.0, "a"), (2.0, "b"), (3.0, "c")]
 
@@ -74,7 +87,7 @@ class TestTimeoutOrdering:
             log.append(tag)
 
         for tag in "abcd":
-            env.process(proc(env, tag))
+            env.start(proc(env, tag))
         env.run()
         assert log == list("abcd")
 
@@ -84,93 +97,9 @@ class TestTimeoutOrdering:
             env.timeout(-1.0)
 
 
-class TestProcessSemantics:
-    def test_return_value_via_run(self):
-        env = Environment()
-
-        def proc(env):
-            yield env.timeout(1.0)
-            return "done"
-
-        assert env.run(env.process(proc(env))) == "done"
-
-    def test_process_waits_for_process(self):
-        env = Environment()
-
-        def child(env):
-            yield env.timeout(2.0)
-            return 21
-
-        def parent(env):
-            value = yield env.process(child(env))
-            return value * 2
-
-        assert env.run(env.process(parent(env))) == 42
-
-    def test_timeout_value_passed_into_process(self):
-        env = Environment()
-
-        def proc(env):
-            value = yield env.timeout(1.0, value="hello")
-            return value
-
-        assert env.run(env.process(proc(env))) == "hello"
-
-    def test_crashing_process_propagates_via_run(self):
-        env = Environment()
-
-        def proc(env):
-            yield env.timeout(1.0)
-            raise ValueError("boom")
-
-        with pytest.raises(ValueError, match="boom"):
-            env.run(env.process(proc(env)))
-
-    def test_unwaited_crash_surfaces_in_run(self):
-        env = Environment()
-
-        def proc(env):
-            yield env.timeout(1.0)
-            raise ValueError("lost")
-
-        env.process(proc(env))
-        with pytest.raises(ValueError, match="lost"):
-            env.run()
-
-    def test_yielding_non_event_raises(self):
-        env = Environment()
-
-        def proc(env):
-            yield 42
-
-        env.process(proc(env))
-        with pytest.raises(SimulationError, match="must yield Event"):
-            env.run()
-
-    def test_process_requires_generator(self):
-        env = Environment()
-
-        def not_a_generator(env):
-            return 1
-
-        with pytest.raises(TypeError):
-            env.process(not_a_generator(env))  # type: ignore[arg-type]
-
-    def test_yield_already_processed_event_resumes_immediately(self):
-        env = Environment()
-
-        def proc(env):
-            t = env.timeout(1.0, value="v")
-            yield env.timeout(5.0)  # t processes meanwhile
-            value = yield t  # already processed
-            return (env.now, value)
-
-        assert env.run(env.process(proc(env))) == (5.0, "v")
-
-
 class TestStart:
-    """``Environment.start``: a generator run as a task, with no events of
-    its own (the request path's primitive)."""
+    """``Environment.start``: a generator run as a process, with no events
+    of its own."""
 
     def test_runs_now_and_schedules_nothing_of_its_own(self):
         env = Environment()
@@ -272,69 +201,11 @@ class TestCallSoon:
     def test_after_urgent_events_already_queued(self):
         env = Environment()
         log = []
-
-        def proc():
-            log.append("process")
-            yield env.timeout(0.0)
-
-        env.process(proc())  # its initialising event is URGENT too
-        env.call_soon(lambda ev: log.append("soon"))
+        env.call_at(0.0, lambda ev: log.append("normal"))
+        env.call_soon(lambda ev: log.append("first"))
+        env.call_soon(lambda ev: log.append("second"))
         env.run()
-        assert log == ["process", "soon"]
-
-
-class TestRunUntilEvent:
-    def test_returns_event_value(self):
-        env = Environment()
-        ev = env.event()
-
-        def trigger(env, ev):
-            yield env.timeout(3.0)
-            ev.succeed("payload")
-
-        env.process(trigger(env, ev))
-        assert env.run(until=ev) == "payload"
-        assert env.now == 3.0
-
-    def test_queue_exhausted_before_event(self):
-        env = Environment()
-        ev = env.event()
-        with pytest.raises(SimulationError, match="exhausted"):
-            env.run(until=ev)
-
-    def test_until_already_processed_event_returns_immediately(self):
-        env = Environment()
-        ev = env.timeout(2.0, value="early")
-        env.run()  # processes the timeout (and empties the queue)
-        assert ev.processed
-        now = env.now
-        assert env.run(until=ev) == "early"
-        assert env.now == now  # no events consumed, clock untouched
-
-    def test_until_already_processed_failed_event_raises(self):
-        env = Environment()
-        ev = env.event()
-        ev.fail(ValueError("lost cause"))
-        with pytest.raises(ValueError, match="lost cause"):
-            env.run()  # the failure surfaces while processing
-        assert ev.processed
-        with pytest.raises(ValueError, match="lost cause"):
-            env.run(until=ev)
-
-    def test_until_event_does_not_drain_rest_of_queue(self):
-        env = Environment()
-        log = []
-
-        def proc(env, delay, tag):
-            yield env.timeout(delay)
-            log.append(tag)
-
-        env.process(proc(env, 1.0, "a"))
-        target = env.process(proc(env, 2.0, "b"))
-        env.process(proc(env, 3.0, "c"))
-        env.run(until=target)
-        assert log == ["a", "b"]  # "c" still pending
-        assert len(env) > 0
+        assert log == ["first", "second", "normal"]
 
 
 class TestAbsoluteTimeScheduling:
@@ -364,7 +235,7 @@ class TestAbsoluteTimeScheduling:
             # same-time absolute event is fine
             env.call_at(2.0, lambda event: log.append(env.now))
 
-        env.process(proc(env))
+        env.start(proc(env))
         env.run()
         assert log == [2.0]
 
@@ -377,7 +248,7 @@ class TestAbsoluteTimeScheduling:
             yield env.timeout(5.0)
             env.call_at(4.0, lambda event: None)
 
-        env.process(proc(env))
+        env.start(proc(env))
         with pytest.raises(SimulationError):
             env.run()
 

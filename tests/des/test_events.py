@@ -39,13 +39,22 @@ class TestEventLifecycle:
         with pytest.raises(TypeError):
             env.event().fail("not an exception")  # type: ignore[arg-type]
 
+    def test_failure_nobody_waits_for_surfaces_in_run(self):
+        env = Environment()
+        env.event().fail(ValueError("lost cause"))
+        with pytest.raises(ValueError, match="lost cause"):
+            env.run()
+
     def test_delayed_succeed(self):
         env = Environment()
         ev = env.event()
         ev.succeed("late", delay=5.0)
+        log = []
 
         def waiter(env, ev):
             value = yield ev
-            return (env.now, value)
+            log.append((env.now, value))
 
-        assert env.run(env.process(waiter(env, ev))) == (5.0, "late")
+        env.start(waiter(env, ev))
+        env.run()
+        assert log == [(5.0, "late")]

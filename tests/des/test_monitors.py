@@ -1,4 +1,4 @@
-"""Tests for Tally, TimeWeightedValue and TimeSeries."""
+"""Tests for Tally and TimeWeightedValue."""
 
 import math
 
@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.des import Environment, Tally, TimeSeries, TimeWeightedValue
+from repro.des import Environment, Tally, TimeWeightedValue
 from repro.errors import SimulationError
 
 
@@ -75,7 +75,7 @@ class TestTimeWeightedValue:
             twv.set(0.0)
             yield env.timeout(5.0)
 
-        env.process(proc(env))
+        env.start(proc(env))
         env.run()
         # integral = 0*2 + 10*3 + 0*5 = 30 over 10
         assert twv.time_average() == pytest.approx(3.0)
@@ -96,7 +96,7 @@ class TestTimeWeightedValue:
             twv.set(2.0)
             yield env.timeout(5.0)
 
-        env.process(proc(env))
+        env.start(proc(env))
         env.run()
         assert twv.time_average() == pytest.approx(2.0)
 
@@ -105,19 +105,3 @@ class TestTimeWeightedValue:
         twv = TimeWeightedValue(env, initial=7.0)
         assert twv.time_average() == 7.0
 
-
-class TestTimeSeries:
-    def test_records_and_slices(self):
-        ts = TimeSeries("s")
-        for t, v in [(0.0, 1.0), (1.0, 2.0), (2.0, 3.0)]:
-            ts.record(t, v)
-        assert len(ts) == 3
-        late = ts.after(1.0)
-        assert late.times.tolist() == [1.0, 2.0]
-        assert late.values.tolist() == [2.0, 3.0]
-
-    def test_rejects_out_of_order(self):
-        ts = TimeSeries()
-        ts.record(5.0, 1.0)
-        with pytest.raises(SimulationError):
-            ts.record(4.0, 1.0)

@@ -109,7 +109,7 @@ class TestTheoryValidation:
         def record(job, exc):
             tally.record(job.response_time)
 
-        env.process(source(env))
+        env.start(source(env))
         env.run(until=20000.0)
         # Higher load -> higher response-time variance -> looser tolerance.
         assert tally.mean == pytest.approx(1.0 / (1.0 - rho), rel=0.04 + 0.1 * rho)
@@ -131,7 +131,7 @@ class TestTheoryValidation:
         def record(job, exc):
             tally.record(job.response_time)
 
-        env.process(source(env))
+        env.start(source(env))
         env.run(until=20000.0)
         assert tally.mean == pytest.approx(2.0, rel=0.05)
 
@@ -147,7 +147,7 @@ class TestTheoryValidation:
                 yield env.timeout(arrival_rng.exponential(2.0))
                 server.submit(size_rng.exponential(1.0), None, lambda job, exc: None)
 
-        env.process(source(env))
+        env.start(source(env))
         env.run(until=20000.0)
         assert server.mean_jobs_in_system() == pytest.approx(1.0, rel=0.08)
         assert server.utilization() == pytest.approx(0.5, rel=0.05)

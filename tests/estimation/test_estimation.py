@@ -146,9 +146,9 @@ class TestWindowedEstimator:
 
 class TestRateEstimator:
     def test_recovers_constant_rate(self):
-        est = RateEstimator(alpha=0.1)
+        est = RateEstimator(window=16)
         for i in range(100):
-            est.observe(i * 0.5)  # rate 2.0
+            est.observe(i * 0.5)  # rate 2.0, read off the last 16
         assert est.rate == pytest.approx(2.0)
 
     def test_nan_until_two_points(self):

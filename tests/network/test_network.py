@@ -17,11 +17,15 @@ class TestSharedLink:
         env = Environment()
         link = SharedLink(env, bandwidth=10.0)
 
+        times = []
+
         def proc(env):
             result = yield link.fetch(item="x", size=5.0, kind="demand", client=0)
-            return result.retrieval_time
+            times.append(result.retrieval_time)
 
-        assert env.run(env.process(proc(env))) == pytest.approx(0.5)
+        env.start(proc(env))
+        env.run()
+        assert times == [pytest.approx(0.5)]
 
     def test_concurrent_fetches_share_bandwidth(self):
         env = Environment()
@@ -32,8 +36,8 @@ class TestSharedLink:
             result = yield link.fetch(item="x", size=5.0, kind="demand", client=0)
             times.append(result.retrieval_time)
 
-        env.process(proc(env))
-        env.process(proc(env))
+        env.start(proc(env))
+        env.start(proc(env))
         env.run()
         assert times == [pytest.approx(1.0), pytest.approx(1.0)]
 
@@ -48,7 +52,7 @@ class TestSharedLink:
             yield link.fetch(item="b", size=3.0, kind="prefetch", client=0)
             yield link.fetch(item="c", size=4.0, kind=FetchKind.PEER, client=0)
 
-        env.process(proc(env))
+        env.start(proc(env))
         env.run()
         assert link.demand_bytes == 2.0 and link.prefetch_bytes == 3.0
         assert link.peer_bytes == 4.0
@@ -74,7 +78,7 @@ class TestSharedLink:
             for kind in ("prefetch", FetchKind.PREFETCH):
                 results.append((yield link.fetch(item="a", size=1.0, kind=kind, client=0)))
 
-        env.process(proc(env))
+        env.start(proc(env))
         env.run()
         assert link.prefetch_fetches == 2 and link.demand_fetches == 0
         assert [r.request.kind for r in results] == [FetchKind.PREFETCH] * 2
@@ -88,7 +92,7 @@ class TestSharedLink:
             yield link.fetch(item="a", size=5.0, kind="demand", client=0)
             yield env.timeout(0.5)
 
-        env.process(proc(env))
+        env.start(proc(env))
         env.run()
         assert link.offered_load() == pytest.approx(5.0 / (10.0 * 1.0))
 
@@ -101,7 +105,7 @@ class TestSharedLink:
             r = yield link.fetch(item="it", size=1.0, kind="prefetch", client=7)
             results.append(r)
 
-        env.process(proc(env))
+        env.start(proc(env))
         env.run()
         r = results[0]
         assert r.request.item == "it"
@@ -281,7 +285,7 @@ class TestOriginServer:
             yield origin.fetch("a", kind="demand", client=0)
             yield origin.fetch("a", kind="prefetch", client=0)
 
-        env.process(proc(env))
+        env.start(proc(env))
         env.run()
         assert link.demand_fetches == 1 and link.demand_bytes == 1.0
         assert link.prefetch_fetches == 1 and link.prefetch_bytes == 1.0

@@ -94,7 +94,7 @@ def test_run_that_raises_restores_gc_state(caller_gc):
         yield sim.env.timeout(1.0)
         raise RuntimeError("boom")
 
-    sim.env.process(boom())
+    sim.env.start(boom())
     with pytest.raises(RuntimeError, match="boom"):
         sim.run()
     _assert_restored(caller_gc)
@@ -115,7 +115,7 @@ def test_build_pauses_and_run_freezes(monkeypatch):
         yield sim.env.timeout(1.0)
         seen["run_frozen"] = gc.get_freeze_count()
 
-    sim.env.process(probe())
+    sim.env.start(probe())
     sim.run()
     assert seen["build_enabled"] is False
     assert seen["run_frozen"] > 0

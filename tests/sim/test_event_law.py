@@ -1,6 +1,6 @@
 """The request path's event law: which heap pushes a request costs.
 
-A request runs inline from its arrival, a miss that waits is a task
+A request runs inline from its arrival, a miss that waits is a process
 (``Environment.start``), a request's planned prefetches start from one
 URGENT event and complete as callbacks on their fetch events, and a
 fetch-table join event exists only once someone joined.  These tests count the kernel's heap pushes around a request on

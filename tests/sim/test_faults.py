@@ -371,6 +371,22 @@ class TestFaultSemantics:
         assert end.migrated_items > 0
         assert end.migrated_bytes > 0.0
 
+    @pytest.mark.parametrize("seed", [17, 18, 19])
+    def test_cooperative_shrink_pushes_items_out(self, seed):
+        # The push starts after the shrink drains the node's links: a push
+        # whose first transfer ran before the drain would die with it and
+        # migrate nothing.
+        output = run_simulation(faulted_config(
+            seed=seed,
+            faults=FaultSchedule(
+                (FaultEvent(time=20.0, kind="ring-shrink", node=1),),
+                migration="cooperative",
+            ),
+        ))
+        end = output.kpis.fault_timeline[-1]
+        assert end.migrated_items > 0
+        assert end.migrated_bytes > 0.0
+
     def test_cold_recovery_migrates_nothing(self):
         output = run_simulation(faulted_config(faults=FAIL_RECOVER))
         end = output.kpis.fault_timeline[-1]

@@ -19,7 +19,7 @@ class TestWarmupGating:
     def test_observations_before_warmup_dropped(self):
         env, link = make_env()
         collector = MetricsCollector(env, link, warmup_time=10.0)
-        env.process(collector.warmup_process())
+        collector.arm_warmup()
         collector.record_request(hit=True, access_time=0.0)  # at t=0: dropped
         env.run(until=10.0)
         collector.record_request(hit=False, access_time=1.0)
@@ -79,13 +79,13 @@ class TestAggregation:
         """Busy time accumulated before the warmup snapshot is excluded."""
         env, link = make_env()
         collector = MetricsCollector(env, link, warmup_time=5.0)
-        env.process(collector.warmup_process())
+        collector.arm_warmup()
 
         def traffic(env):
             # one 10-unit fetch finishing at t=1 (before warmup ends)
             yield link.fetch(item="x", size=10.0, kind="demand", client=0)
 
-        env.process(traffic(env))
+        env.start(traffic(env))
         env.run(until=15.0)
         metrics = collector.finalize()
         assert metrics.utilization == pytest.approx(0.0)

@@ -290,7 +290,7 @@ class TestIssueTimeGating:
         env = Environment()
         link = SharedLink(env, bandwidth=10.0)
         collector = MetricsCollector(env, link, warmup_time=10.0)
-        env.process(collector.warmup_process())
+        collector.arm_warmup()
         env.run(until=12.0)
         assert collector.measuring
         # completion now, but issued pre-warmup: dropped

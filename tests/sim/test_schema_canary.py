@@ -3,10 +3,12 @@
 A warm ``--sweep`` cache serves every stored result whose scenario hash
 and ``CACHE_SCHEMA_VERSION`` match.  A change that moves outputs without
 bumping the version would have the cache serve numbers the code no
-longer produces.  Five small canary runs pin their output fingerprints
+longer produces.  Small canary runs pin their output fingerprints
 (``perfbench.checks.fingerprint``, a hash of every output field) under
 the version that produced them, so a changed fingerprint under an
-unchanged version fails here.
+unchanged version fails here.  The cache stores both kinds of sweep
+point, so the canaries cover both: five :class:`SimulationConfig` runs
+and one analytic-mirror run per ``prefetch_timing`` mode.
 
 After a deliberate output change: bump ``CACHE_SCHEMA_VERSION`` in
 ``repro/sim/sweep.py`` (its comment says what moved), then record the new
@@ -23,9 +25,11 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 sys.path.insert(0, str(REPO_ROOT))
 
 from perfbench.checks import fingerprint  # noqa: E402
+from repro.core.parameters import SystemParameters  # noqa: E402
 from repro.network.topology import TopologyConfig  # noqa: E402
 from repro.scenario import compile_config, load_scenario  # noqa: E402
 from repro.sim.config import SimulationConfig  # noqa: E402
+from repro.sim.mirror import MirrorConfig, run_mirror  # noqa: E402
 from repro.sim.simulation import Simulation  # noqa: E402
 from repro.sim.sweep import CACHE_SCHEMA_VERSION  # noqa: E402
 from repro.workload.sessions import WorkloadSpec  # noqa: E402
@@ -40,6 +44,9 @@ FINGERPRINTS = {
         "sparse-per-client": "a753d173dec90acc",
         "sparse-singleton-classes": "b1e0db3e93d322fe",
         "proxy-failure-70s": "3ae0a546a8623745",
+        "mirror-independent": "018d474c37b41501",
+        "mirror-jittered": "e1be4aabcfec4f9b",
+        "mirror-batched": "680360add4fa6b3b",
     },
 }
 
@@ -47,6 +54,19 @@ FINGERPRINTS = {
 def _scenario(file: str, **overrides) -> SimulationConfig:
     return dataclasses.replace(
         compile_config(load_scenario(SCENARIOS / file)), **overrides
+    )
+
+
+def _mirror(prefetch_timing: str) -> MirrorConfig:
+    # A fractional n_f draws the extra-prefetch coin on every request.
+    return MirrorConfig(
+        params=SystemParameters.paper_defaults(hit_ratio=0.3),
+        n_f=1.5,
+        p=0.3,
+        duration=300.0,
+        warmup=30.0,
+        seed=5,
+        prefetch_timing=prefetch_timing,
     )
 
 
@@ -103,11 +123,20 @@ CANARIES = {
     "proxy-failure-70s": lambda: _scenario(
         "proxy_failure.yaml", policy="threshold-static", duration=70.0, seed=23
     ),
+    "mirror-independent": lambda: _mirror("independent"),
+    "mirror-jittered": lambda: _mirror("jittered"),
+    "mirror-batched": lambda: _mirror("batched"),
 }
 
 
+def _run(config):
+    if isinstance(config, MirrorConfig):
+        return run_mirror(config)
+    return Simulation(config).run()
+
+
 def test_outputs_match_the_schema_version():
-    got = {name: fingerprint(Simulation(make()).run()) for name, make in CANARIES.items()}
+    got = {name: fingerprint(_run(make())) for name, make in CANARIES.items()}
     pinned = FINGERPRINTS.get(CACHE_SCHEMA_VERSION)
     assert pinned is not None, (
         f"no canary fingerprints recorded for CACHE_SCHEMA_VERSION "

@@ -530,7 +530,7 @@ class TestFetchTableFuzz:
                         resolve(item, RuntimeError(f"fetch {item} died"))
                     else:
                         spawned["waiters"] += 1
-                        env.process(waiter(item, spawned["waiters"]))
+                        env.start(waiter(item, spawned["waiters"]))
                 else:
                     if op < 0.35:
                         table.register(item, "demand")
@@ -560,7 +560,7 @@ class TestFetchTableFuzz:
                 else:
                     resolve(item, RuntimeError("shutdown"))
 
-        env.process(driver())
+        env.start(driver())
         env.run()
         return table, woken, spawned["waiters"]
 
@@ -624,7 +624,7 @@ class TestFetchTableFuzz:
             table.fail("x", RuntimeError("origin died"))
             yield env.timeout(1.0)
 
-        env.process(driver())
+        env.start(driver())
         env.run()  # does not raise
         assert table.stats.failures == 1
         assert len(table) == 0

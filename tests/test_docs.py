@@ -5,13 +5,30 @@ runs in CI (``python tools/check_docs.py``); here we pin the fast parts so
 a dead link or a docs reference to a deleted example fails `pytest` too.
 """
 
+import doctest
+import importlib
 import sys
 from pathlib import Path
+
+import pytest
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "tools"))
 
 import check_docs  # noqa: E402
+
+SRC = REPO_ROOT / "src"
+
+
+def _modules_with_examples() -> list[str]:
+    """Every ``repro`` module whose source holds a ``>>>`` example."""
+    return sorted(
+        ".".join(path.relative_to(SRC).with_suffix("").parts).removesuffix(
+            ".__init__"
+        )
+        for path in (SRC / "repro").rglob("*.py")
+        if ">>>" in path.read_text(encoding="utf-8")
+    )
 
 
 class TestDocsSurface:
@@ -50,3 +67,10 @@ class TestDocsSurface:
             if f"`{experiment_id}`" not in readme
         ]
         assert missing == [], f"README experiment catalog is stale: {missing}"
+
+
+@pytest.mark.parametrize("module", _modules_with_examples())
+def test_docstring_examples_run(module):
+    result = doctest.testmod(importlib.import_module(module))
+    assert result.attempted > 0
+    assert result.failed == 0, f"{result.failed} example(s) in {module} failed"
