@@ -29,6 +29,6 @@ setup(
         "scipy>=1.10",
     ],
     extras_require={
-        "dev": ["pytest>=7", "pytest-benchmark>=4", "pytest-cov>=4", "hypothesis"],
+        "dev": ["pytest>=7", "pytest-cov>=4", "hypothesis"],
     },
 )

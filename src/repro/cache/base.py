@@ -8,7 +8,7 @@ provides:
 * :class:`CacheEntry` — key, size, tag status, bookkeeping timestamps;
 * :class:`CacheStats` — hits/misses split by demand vs prefetch origin;
 * :class:`Cache` — the policy-independent machinery (lookup, insert, evict,
-  capacity enforcement, stats, eviction listeners); policies implement
+  capacity enforcement, stats); policies implement
   ``_on_access`` / ``_on_insert`` / ``_victim``.
 
 Capacity is counted in items to match the paper's ``n̄(C)``; a byte-capacity
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Iterator, Optional
+from typing import Hashable, Iterator, Optional
 
 from repro.errors import ParameterError
 
@@ -70,11 +70,6 @@ class CacheStats:
     def hit_ratio(self) -> float:
         return self.hits / self.accesses if self.accesses else float("nan")
 
-    @property
-    def wasted_prefetches(self) -> int:
-        """Prefetched entries evicted without a single access."""
-        return self.prefetch_evictions
-
 
 class Cache(ABC):
     """Replacement-policy framework.
@@ -119,7 +114,6 @@ class Cache(ABC):
         self._entries: dict[Key, CacheEntry] = {}
         self._bytes_used = 0.0
         self.stats = CacheStats()
-        self._eviction_listeners: list[Callable[[CacheEntry], None]] = []
 
     # ------------------------------------------------------------------
     # Introspection
@@ -134,20 +128,12 @@ class Cache(ABC):
     def __iter__(self) -> Iterator[Key]:
         return iter(self._entries)
 
-    @property
-    def bytes_used(self) -> float:
-        return self._bytes_used
-
     def entry(self, key: Key) -> Optional[CacheEntry]:
         """Raw entry access (no side effects); None when absent."""
         return self._entries.get(key)
 
     def keys(self) -> list[Key]:
         return list(self._entries)
-
-    def add_eviction_listener(self, listener: Callable[[CacheEntry], None]) -> None:
-        """Register a callback invoked with each evicted entry."""
-        self._eviction_listeners.append(listener)
 
     # ------------------------------------------------------------------
     # Core operations
@@ -229,8 +215,6 @@ class Cache(ABC):
         if victim.prefetched and victim.access_count == 0:
             self.stats.prefetch_evictions += 1
         self._on_remove(victim)
-        for listener in self._eviction_listeners:
-            listener(victim)
         return victim
 
     def _make_room(self, incoming: CacheEntry) -> None:

@@ -82,16 +82,6 @@ class ValueAwareCache(Cache):
         #: round-robin queue for the bounded per-eviction refresh sweep
         self._sweep_queue: list[Hashable] = []
 
-    def set_value_fn(self, value_fn: Callable[[Hashable], float]) -> None:
-        """Swap the oracle (the controller wires the predictor in here).
-
-        Every resident entry is re-ranked under the new oracle so the swap
-        takes effect immediately, not at the entries' next touch.
-        """
-        self._value_fn = value_fn
-        for entry in self._entries.values():
-            self._heap.push(entry, self._rank(entry))
-
     def _rank(self, entry: CacheEntry) -> tuple:
         return (
             self._value_fn(entry.key),

@@ -38,7 +38,3 @@ class LRUCache(Cache):
     def _victim(self) -> CacheEntry:
         oldest_key = next(iter(self._order))
         return self._order[oldest_key]
-
-    def recency_order(self) -> list[object]:
-        """Keys from least to most recently used (exposed for tests)."""
-        return list(self._order)

@@ -73,10 +73,6 @@ class PositivityConditions:
     demand_stable: np.ndarray | bool
     prefetch_stable: np.ndarray | bool
 
-    @property
-    def all_met(self) -> np.ndarray | bool:
-        return self.profitable & self.demand_stable & self.prefetch_stable
-
 
 class PrefetchCacheModel(ABC):
     """Base class: analytical performance of speculative prefetching.

@@ -4,11 +4,11 @@ Every paper figure and every ablation is an :class:`Experiment` exposing
 
 * ``run(fast=..., engine=...)`` → an :class:`ExperimentResult` with the
   raw sweeps/rows plus the run record (worker count, wall-clock),
-* a registry entry so the CLI (``python -m repro <id>``) and the benchmark
-  suite can enumerate them.
+* a registry entry so the CLI (``python -m repro <id>``) and the tests can
+  look them up.
 
-``fast=True`` shrinks simulation durations/replications so the benchmark
-suite stays minutes-fast; closed-form experiments ignore it (they are exact
+``fast=True`` shrinks simulation durations/replications so the test suite
+stays minutes-fast; closed-form experiments ignore it (they are exact
 either way).  ``engine`` is the :class:`~repro.sim.sweep.SweepExecutor`
 every simulated grid of the experiment runs through: its ``jobs``, result
 cache and node backend decide how the grids execute, never what they
@@ -58,7 +58,7 @@ class ExperimentResult:
     cache_schema_version: int | None = None
 
     def render(self, *, plots: bool = True, max_rows: int | None = 12) -> str:
-        """Human-readable report (what the bench prints)."""
+        """Human-readable report (what the CLI prints)."""
         from repro.analysis.ascii_plot import render_sweep
         from repro.analysis.tables import format_sweep, format_table
 

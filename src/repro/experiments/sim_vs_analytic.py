@@ -160,9 +160,12 @@ class SimVsAnalyticExperiment(Experiment):
 
         # --- Che model-error table ---------------------------------------
         # The closed-form predictor (Che + M/G/1-PS), checked against
-        # full-system DES runs at IRM prefetch-free cache points.
-        che_duration = 60.0 if fast else 240.0
-        che_warmup = 15.0 if fast else 60.0
+        # full-system DES runs at IRM prefetch-free cache points.  The
+        # Che model is a steady-state law, so the warm-up outlasts the
+        # fill of the largest cache (150 slots, at 7.5 requests per
+        # second per client).
+        che_duration = 120.0 if fast else 240.0
+        che_warmup = 60.0
         che_reps = 2 if fast else 4
         cache_points = []
         for capacity, exponent in [

@@ -89,13 +89,6 @@ class OriginServer:
         self._size_map[item] = size
         return size
 
-    @property
-    def mean_known_size(self) -> float:
-        """Mean size over items seen so far (diagnostics)."""
-        if not self._size_map:
-            return float("nan")
-        return float(np.mean(list(self._size_map.values())))
-
     def fetch(self, item: Hashable, *, kind: FetchKind | str, client: int) -> Event:
         """Stream ``item`` to ``client`` through the link (which checks
         ``kind``)."""

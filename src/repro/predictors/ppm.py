@@ -58,7 +58,6 @@ class PPMPredictor(Predictor):
             dict() for _ in range(max_order + 1)
         ]
         self._recent: deque[Item] = deque(maxlen=max_order)
-        self._vocabulary: set[Item] = set()
 
     def record(self, item: Item) -> None:
         history = tuple(self._recent)
@@ -71,7 +70,6 @@ class PPMPredictor(Predictor):
             if table is None:
                 table = counts[ctx] = Counter()
             table[item] += 1
-        self._vocabulary.add(item)
         self._recent.append(item)
 
     def predict_above(self, floor: float) -> list[tuple[Item, float]]:
@@ -101,7 +99,3 @@ class PPMPredictor(Predictor):
 
     def reset(self) -> None:
         self.__init__(max_order=self.max_order)  # type: ignore[misc]
-
-    @property
-    def vocabulary_size(self) -> int:
-        return len(self._vocabulary)

@@ -210,10 +210,6 @@ class MetricsCollector:
         self._hit_bytes = 0.0
 
     # ------------------------------------------------------------------
-    @property
-    def measuring(self) -> bool:
-        return self._measuring
-
     def start_measuring(self) -> None:
         """Mark the warmup boundary (call at ``env.now == warmup_time``)."""
         self._measuring = True
@@ -227,30 +223,19 @@ class MetricsCollector:
         self.env.call_at(self.warmup_time, lambda event: self.start_measuring())
 
     # ------------------------------------------------------------------
-    # Observations (called by client processes)
+    # Observations (called by client processes).  Each counts iff it was
+    # *issued* in the measurement window: ``issued_at >= warmup_time``.
     # ------------------------------------------------------------------
-    def _in_window(self, issued_at: Optional[float]) -> bool:
-        """Issue-time gate: an observation counts iff it was *issued* in the
-        measurement window.  ``issued_at=None`` keeps the legacy
-        completion-time gate for callers without issue timestamps."""
-        if issued_at is None:
-            return self._measuring
-        return issued_at >= self.warmup_time
-
     def record_request(
         self,
         *,
         hit: bool,
         access_time: float,
+        issued_at: float,
         tagged_hit: bool = False,
-        issued_at: Optional[float] = None,
         size: float = 0.0,
     ) -> None:
-        # _in_window, inlined: this runs once per request
-        if issued_at is None:
-            if not self._measuring:
-                return
-        elif not issued_at >= self.warmup_time:
+        if issued_at < self.warmup_time:
             return
         self._requests += 1
         if hit:
@@ -271,9 +256,9 @@ class MetricsCollector:
         self,
         retrieval_time: float,
         *,
+        issued_at: float,
         prefetch: bool = False,
         remote: bool = False,
-        issued_at: Optional[float] = None,
     ) -> None:
         """A completed fetch's sojourn time (demand, prefetch or peer).
 
@@ -282,11 +267,7 @@ class MetricsCollector:
         a user waited on) but is tallied separately so the demand/prefetch
         means keep their origin-uplink meaning.
         """
-        # _in_window, inlined: this runs once per fetch
-        if issued_at is None:
-            if not self._measuring:
-                return
-        elif not issued_at >= self.warmup_time:
+        if issued_at < self.warmup_time:
             return
         self._retrieval_time_accum += retrieval_time
         if remote:
@@ -296,11 +277,9 @@ class MetricsCollector:
         else:
             self.demand_retrieval.record(retrieval_time)
 
-    def record_remote_probe(
-        self, *, hit: bool, issued_at: Optional[float] = None
-    ) -> None:
+    def record_remote_probe(self, *, hit: bool, issued_at: float) -> None:
         """A cooperative peer probe resolved (found the item or not)."""
-        if not self._in_window(issued_at):
+        if issued_at < self.warmup_time:
             return
         self._remote_probes += 1
         if hit:

@@ -115,14 +115,18 @@ def run_mirror(config: MirrorConfig) -> SimulationMetrics:
     def demand_fetch(size):
         t0 = env.now
         result = yield link.fetch(item=None, size=size, kind="demand", client=0)
-        collector.record_request(hit=False, access_time=env.now - t0)
-        collector.record_retrieval(result.retrieval_time)
+        collector.record_request(hit=False, access_time=env.now - t0, issued_at=t0)
+        collector.record_retrieval(
+            result.retrieval_time, issued_at=result.request.issued_at
+        )
 
     def prefetch_fetch(size, delay):
         if delay > 0.0:
             yield env.timeout(delay)
         result = yield link.fetch(item=None, size=size, kind="prefetch", client=0)
-        collector.record_retrieval(result.retrieval_time, prefetch=True)
+        collector.record_retrieval(
+            result.retrieval_time, prefetch=True, issued_at=result.request.issued_at
+        )
 
     def request(event):
         # Armed before this request's fetches start, so an arrival tied
@@ -132,7 +136,7 @@ def run_mirror(config: MirrorConfig) -> SimulationMetrics:
         )
         # The user request itself
         if coin_rng.random() < h:
-            collector.record_request(hit=True, access_time=0.0)
+            collector.record_request(hit=True, access_time=0.0, issued_at=env.now)
         else:
             env.start(demand_fetch(float(sizes.sample(size_rng))))
         if config.prefetch_timing == "independent":

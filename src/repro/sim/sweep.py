@@ -99,7 +99,11 @@ __all__ = [
 #:     multi-member class drops only the one gap that crosses it (it
 #:     used to drop the rest of a pre-drawn 256-gap block), as a client
 #:     does — so a phased multi-member run reproduces no v10 entry.
-CACHE_SCHEMA_VERSION = 11
+#: v12: the analytic mirror gates on issue time, as the full simulation
+#:     does: a demand fetch issued before the warm-up boundary and
+#:     completed after it is no longer measured, so mirror points
+#:     reproduce no v11 entry (SimulationConfig outputs are unchanged).
+CACHE_SCHEMA_VERSION = 12
 
 
 # ----------------------------------------------------------------------

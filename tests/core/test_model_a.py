@@ -116,7 +116,6 @@ class TestConditions:
         m = ModelA(paper_params)
         cond = m.conditions(0.5, 0.9)
         assert cond.profitable and cond.demand_stable and cond.prefetch_stable
-        assert cond.all_met
 
     def test_conditions_vectorised(self, paper_params):
         m = ModelA(paper_params)

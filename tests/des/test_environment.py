@@ -91,6 +91,17 @@ class TestTimeoutOrdering:
         env.run()
         assert log == list("abcd")
 
+    def test_long_timeout_chain_runs_to_completion(self):
+        env = Environment()
+
+        def ticker(count):
+            for _ in range(count):
+                yield env.timeout(1.0)
+
+        env.start(ticker(100_000))
+        env.run()
+        assert env.now == 100_000.0
+
     def test_negative_timeout_rejected(self):
         env = Environment()
         with pytest.raises(SimulationError):

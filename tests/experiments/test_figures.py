@@ -53,7 +53,7 @@ class TestFigure1:
 
     def test_paper_anchor_value(self, fig1):
         # h'=0, b=50, s=1: p_th = 30/50 = 0.6 (the Figure 2 operating point)
-        assert fig1.sweeps[0].get("b = 50").y_at(1.0) == pytest.approx(0.6)
+        assert abs(fig1.sweeps[0].get("b = 50").y_at(1.0) - 0.6) < 1e-12
 
 
 class TestFigure2:
@@ -115,6 +115,13 @@ class TestFigure3:
         for sweep in fig3.sweeps:
             for series in sweep:
                 assert series.y_at(0.0) == pytest.approx(0.0)
+
+
+@pytest.mark.parametrize("figure", ["fig1", "fig2", "fig3"])
+def test_figure_reports_render_with_plots(figure, request):
+    result = request.getfixturevalue(figure)
+    text = result.render(plots=True)
+    assert text.startswith(f"=== {result.experiment_id}:")
 
 
 class TestClaimExperiments:

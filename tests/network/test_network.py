@@ -298,10 +298,3 @@ class TestOriginServer:
             origin.fetch("a", kind="speculative", client=0)
         assert link.demand_fetches == 0 and link.prefetch_fetches == 0
         assert link.server.num_active == 0 and len(env) == 0
-
-    def test_mean_known_size(self):
-        env = Environment()
-        link = SharedLink(env, bandwidth=10.0)
-        origin = OriginServer(link, {"a": 2.0, "b": 4.0})
-        origin.size_of("a"), origin.size_of("b")
-        assert origin.mean_known_size == pytest.approx(3.0)

@@ -134,7 +134,6 @@ def reference_ppm_record(p: PPMPredictor, item) -> None:
             break
         ctx = history[len(history) - k :]
         p._counts[k].setdefault(ctx, Counter())[item] += 1
-    p._vocabulary.add(item)
     p._recent.append(item)
 
 

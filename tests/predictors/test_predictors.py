@@ -96,11 +96,6 @@ class TestPPM:
         ppm2.warm_up(["a", "b", "x"] * 8 + ["a", "b"])
         assert ppm2.predict(limit=1)[0][0] == "x"
 
-    def test_vocabulary_tracking(self):
-        p = PPMPredictor(max_order=1)
-        p.warm_up(list("aabbcc"))
-        assert p.vocabulary_size == 3
-
     def test_reset(self):
         p = PPMPredictor(max_order=1)
         p.warm_up(list("ab"))

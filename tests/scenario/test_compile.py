@@ -205,6 +205,29 @@ class TestExpandPoints:
         }
         assert len(digests) == len(points)  # distinct configs, distinct hashes
 
+    def test_flash_crowd_shape_expands_one_point_per_policy(self):
+        flash = load_scenario(REPO_ROOT / "scenarios" / "flash_crowd.yaml")
+        spec = spec_of(
+            {
+                "name": flash.name,
+                "workload": {
+                    "num_clients": flash.workload.num_clients,
+                    "request_rate": flash.workload.request_rate,
+                    "phases": [
+                        {"duration": p.duration, "rate_multiplier": p.rate_multiplier}
+                        for p in flash.workload.phases
+                    ],
+                },
+                "system": {"bandwidth": flash.system.bandwidth},
+                "sweep": {
+                    "replications": 2,
+                    "grid": {"system.policy": ["none", "threshold-dynamic", "all"]},
+                },
+            }
+        )
+        compile_config(spec)
+        assert len(expand_points(spec)) == 3
+
 
 @pytest.mark.parametrize("path", CATALOG, ids=lambda p: p.name)
 def test_catalog_scenarios_compile(path):

@@ -20,9 +20,10 @@ class TestWarmupGating:
         env, link = make_env()
         collector = MetricsCollector(env, link, warmup_time=10.0)
         collector.arm_warmup()
-        collector.record_request(hit=True, access_time=0.0)  # at t=0: dropped
+        # issued at t=0, before the warm-up boundary: dropped
+        collector.record_request(hit=True, access_time=0.0, issued_at=env.now)
         env.run(until=10.0)
-        collector.record_request(hit=False, access_time=1.0)
+        collector.record_request(hit=False, access_time=1.0, issued_at=env.now)
         metrics = collector.finalize()
         assert metrics.requests == 1
         assert metrics.hits == 0
@@ -30,9 +31,11 @@ class TestWarmupGating:
     def test_zero_warmup_measures_immediately(self):
         env, link = make_env()
         collector = MetricsCollector(env, link)
-        assert collector.measuring
-        collector.record_request(hit=True, access_time=0.0)
-        assert collector.finalize().requests == 1
+        collector.record_prefetch_issued()  # counted only while measuring
+        collector.record_request(hit=True, access_time=0.0, issued_at=0.0)
+        metrics = collector.finalize()
+        assert metrics.prefetches_issued == 1
+        assert metrics.requests == 1
 
     def test_finalize_before_start_raises(self):
         env, link = make_env()
@@ -45,8 +48,10 @@ class TestAggregation:
     def test_hit_ratio_and_access_time(self):
         env, link = make_env()
         collector = MetricsCollector(env, link)
-        collector.record_request(hit=True, access_time=0.0, tagged_hit=True)
-        collector.record_request(hit=False, access_time=2.0)
+        collector.record_request(
+            hit=True, access_time=0.0, tagged_hit=True, issued_at=0.0
+        )
+        collector.record_request(hit=False, access_time=2.0, issued_at=0.0)
         metrics = collector.finalize()
         assert metrics.hit_ratio == pytest.approx(0.5)
         assert metrics.mean_access_time == pytest.approx(1.0)
@@ -56,9 +61,9 @@ class TestAggregation:
     def test_retrieval_split_by_kind(self):
         env, link = make_env()
         collector = MetricsCollector(env, link)
-        collector.record_request(hit=False, access_time=1.0)
-        collector.record_retrieval(1.0)
-        collector.record_retrieval(3.0, prefetch=True)
+        collector.record_request(hit=False, access_time=1.0, issued_at=0.0)
+        collector.record_retrieval(1.0, issued_at=0.0)
+        collector.record_retrieval(3.0, prefetch=True, issued_at=0.0)
         metrics = collector.finalize()
         assert metrics.mean_demand_retrieval_time == pytest.approx(1.0)
         assert metrics.mean_prefetch_retrieval_time == pytest.approx(3.0)
@@ -68,8 +73,8 @@ class TestAggregation:
     def test_prefetch_counters(self):
         env, link = make_env()
         collector = MetricsCollector(env, link)
-        collector.record_request(hit=True, access_time=0.0)
-        collector.record_request(hit=True, access_time=0.0)
+        collector.record_request(hit=True, access_time=0.0, issued_at=0.0)
+        collector.record_request(hit=True, access_time=0.0, issued_at=0.0)
         collector.record_prefetch_issued(3)
         metrics = collector.finalize()
         assert metrics.prefetches_issued == 3

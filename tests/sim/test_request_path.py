@@ -292,7 +292,8 @@ class TestIssueTimeGating:
         collector = MetricsCollector(env, link, warmup_time=10.0)
         collector.arm_warmup()
         env.run(until=12.0)
-        assert collector.measuring
+        # measuring since the boundary at t=10
+        assert collector.snapshot().elapsed == pytest.approx(2.0)
         # completion now, but issued pre-warmup: dropped
         collector.record_request(hit=False, access_time=7.0, issued_at=5.0)
         collector.record_retrieval(7.0, issued_at=5.0)

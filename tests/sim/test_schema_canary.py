@@ -38,15 +38,15 @@ SCENARIOS = REPO_ROOT / "scenarios"
 
 #: canary fingerprints by the schema version whose code produced them
 FINGERPRINTS = {
-    11: {
+    12: {
         "paper-point-60s": "23316955bcd8a729",
         "flash-crowd-170s": "bb4257fe59ee358b",
         "sparse-per-client": "a753d173dec90acc",
         "sparse-singleton-classes": "b1e0db3e93d322fe",
         "proxy-failure-70s": "3ae0a546a8623745",
-        "mirror-independent": "018d474c37b41501",
-        "mirror-jittered": "e1be4aabcfec4f9b",
-        "mirror-batched": "680360add4fa6b3b",
+        "mirror-independent": "9ff66e81f8537636",
+        "mirror-jittered": "e52a4ff8aa6ade7e",
+        "mirror-batched": "6cced77712de2394",
     },
 }
 

@@ -75,6 +75,21 @@ def _grid(replications=2) -> list[SweepPoint]:
     ]
 
 
+def _cache_policy_points() -> list[SweepPoint]:
+    """Full-system points under the LFU and value-aware caches, with the
+    oracle predictor whose probabilities the value-aware cache ranks by."""
+    return [
+        SweepPoint(
+            key=f"full-sim/{policy}",
+            config=dataclasses.replace(
+                _sim_config(), cache_policy=policy, predictor="true-distribution"
+            ),
+            replications=2,
+        )
+        for policy in ("lfu", "value-aware")
+    ]
+
+
 def _assert_identical(a, b):
     assert a.metric_names == b.metric_names
     for name in a.metric_names:
@@ -83,7 +98,7 @@ def _assert_identical(a, b):
 
 class TestBitIdenticalToPerPointRunners:
     def test_matches_per_point_path(self):
-        grid = SweepExecutor(jobs=1).run(_grid())
+        grid = SweepExecutor(jobs=1).run(_grid() + _cache_policy_points())
         for key, cfg, reference, runner in [
             ("mirror/b=50", _mirror_config(bandwidth=50.0),
              mirror_replications, run_mirror_replications),
@@ -91,6 +106,9 @@ class TestBitIdenticalToPerPointRunners:
              mirror_replications, run_mirror_replications),
             ("full-sim", _sim_config(),
              simulation_replications, run_simulation_replications),
+        ] + [
+            (pt.key, pt.config, simulation_replications, run_simulation_replications)
+            for pt in _cache_policy_points()
         ]:
             expected = reference(cfg, replications=2)
             _assert_identical(grid[key], expected)
@@ -130,11 +148,13 @@ class TestBitIdenticalToPerPointRunners:
 class TestResultCache:
     def test_miss_then_hit_identical(self, tmp_path):
         engine = SweepExecutor(jobs=1, cache_dir=tmp_path)
-        cold = engine.run(_grid())
-        assert set(cold.cache_misses) == {"mirror/b=50", "mirror/b=80", "full-sim"}
+        keys = {"mirror/b=50", "mirror/b=80", "full-sim",
+                "full-sim/lfu", "full-sim/value-aware"}
+        cold = engine.run(_grid() + _cache_policy_points())
+        assert set(cold.cache_misses) == keys
         assert cold.cache_hits == ()
-        warm = engine.run(_grid())
-        assert set(warm.cache_hits) == {"mirror/b=50", "mirror/b=80", "full-sim"}
+        warm = engine.run(_grid() + _cache_policy_points())
+        assert set(warm.cache_hits) == keys
         assert warm.cache_misses == ()
         for key in cold:
             _assert_identical(cold[key], warm[key])

@@ -23,12 +23,15 @@ def _state(rng):
 
 
 class TestZipfBatch:
-    def test_batch_equals_scalar_draws(self):
-        cat = ZipfCatalog(200, exponent=1.1)
-        r_scalar = np.random.default_rng(42)
-        r_batch = np.random.default_rng(42)
-        scalar = [cat.sample(r_scalar) for _ in range(257)]
-        batch = cat.sample_batch(r_batch, 257)
+    @pytest.mark.parametrize(
+        "size,exponent,seed,draws", [(200, 1.1, 42, 257), (2000, 0.9, 7, 200_000)]
+    )
+    def test_batch_equals_scalar_draws(self, size, exponent, seed, draws):
+        cat = ZipfCatalog(size, exponent=exponent)
+        r_scalar = np.random.default_rng(seed)
+        r_batch = np.random.default_rng(seed)
+        scalar = [cat.sample(r_scalar) for _ in range(draws)]
+        batch = cat.sample_batch(r_batch, draws)
         assert scalar == list(batch)
         assert _state(r_scalar) == _state(r_batch)
 
@@ -72,6 +75,16 @@ class TestMarkovGenerateBatch:
         # draws continue in lock-step on both paths.
         assert _state(scalar._rng) == _state(batched._rng)
         assert [scalar.next_item() for _ in range(5)] == batched.generate(5)
+
+    def test_long_stream_bit_identical_to_next_item(self):
+        cat = ZipfCatalog(2000, exponent=0.9)
+        scalar = MarkovChainSource(cat, follow_probability=0.7,
+                                   rng=np.random.default_rng(123))
+        batched = MarkovChainSource(cat, follow_probability=0.7,
+                                    rng=np.random.default_rng(123))
+        expected = [scalar.next_item() for _ in range(200_000)]
+        assert batched.generate(200_000) == expected
+        assert _state(scalar._rng) == _state(batched._rng)
 
     def test_interleaved_generate_and_next_item(self):
         cat = ZipfCatalog(40, exponent=1.0)
