@@ -6,10 +6,10 @@ setup.py enables the legacy path::
 
     pip install -e . --no-build-isolation --no-use-pep517
 
-and carries the full metadata (there is no pyproject.toml): runtime code
-needs ``numpy`` everywhere and ``scipy`` in ``repro.analysis`` (Student-t
-confidence intervals since PR 2, ``fsolve`` fallbacks in the Che
-characteristic-time solvers since PR 6).
+and carries the full metadata (there is no pyproject.toml).  A simulation
+run needs ``numpy`` alone: ``scipy`` is loaded only when a confidence
+interval is computed (``repro.analysis.confidence``) or a Che ``fsolve``
+fallback runs (``repro.analysis.cachemodel``).
 """
 
 from setuptools import find_packages, setup
@@ -23,7 +23,7 @@ setup(
     ),
     package_dir={"": "src"},
     packages=find_packages(where="src"),
-    python_requires=">=3.10",
+    python_requires=">=3.11",
     install_requires=[
         "numpy>=1.24",
         "scipy>=1.10",

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
 
 from repro.errors import ParameterError
 
@@ -65,6 +64,12 @@ def mean_confidence_interval(
     if n == 1:
         return ConfidenceInterval(mean=mean, half_width=math.inf, level=level, n=1)
     sem = float(arr.std(ddof=1)) / math.sqrt(n)
+    # Imported here, not at module level: the simulator imports this
+    # module (through ``sim/sweep.py``), and SciPy would more than double
+    # the memory of every process that runs a simulation, for this one
+    # Student-t quantile.
+    from scipy import stats
+
     t_crit = float(stats.t.ppf(0.5 + level / 2.0, df=n - 1))
     return ConfidenceInterval(mean=mean, half_width=t_crit * sem, level=level, n=n)
 

@@ -21,6 +21,11 @@ from collections.abc import Sequence
 
 import numpy as np
 
+# NumPy loads its random package lazily, on first use.  Load it with the
+# simulator's own modules, so that a run does not pay for it while it
+# builds its first stream.
+import numpy.random  # noqa: F401
+
 from repro.errors import ConfigurationError
 
 __all__ = ["BATCH_CROSSOVER", "RandomStreams"]

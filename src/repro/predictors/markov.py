@@ -14,7 +14,8 @@ for rarely-seen successors.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
+
 from repro.errors import ParameterError
 from repro.predictors.base import Item, Predictor, ranked
 
@@ -51,11 +52,13 @@ class MarkovPredictor(Predictor):
         self.smoothing = float(smoothing)
         # transition counts per context length: _counts[k][ctx][successor]
         self._counts: list[dict[tuple, Counter]] = [dict() for _ in range(order + 1)]
-        self._recent: deque[Item] = deque(maxlen=order)
+        # the last ``order`` items, oldest first: the context itself, so
+        # no request copies it (and an empty history allocates nothing)
+        self._recent: tuple[Item, ...] = ()
 
     # ------------------------------------------------------------------
     def record(self, item: Item) -> None:
-        history = tuple(self._recent)
+        history = self._recent
         for k in range(0, self.order + 1):
             if len(history) < k:
                 break
@@ -65,10 +68,11 @@ class MarkovPredictor(Predictor):
             if table is None:
                 table = counts[ctx] = Counter()
             table[item] += 1
-        self._recent.append(item)
+        if self.order:
+            self._recent = (history + (item,))[-self.order :]
 
     def predict_above(self, floor: float) -> list[tuple[Item, float]]:
-        history = tuple(self._recent)
+        history = self._recent
         for k in range(min(self.order, len(history)), -1, -1):
             ctx = history[len(history) - k :] if k else ()
             table = self._counts[k].get(ctx)

@@ -113,11 +113,11 @@ class PrefetchController:
     -----
     The class is ``__slots__``-ed: at 100k+ controllers (one per client,
     or per client class) the per-instance ``__dict__`` would dominate
-    bookkeeping memory.  The two behaviour seams the test-suite (and any
-    instrumenting caller) replaces per instance — ``plan`` and
-    ``on_user_access`` — stay assignable: they are properties backed by
-    override slots, so ``controller.plan = fake`` works exactly as it did
-    when instances had a ``__dict__``.
+    bookkeeping memory.  The simulator's request path calls
+    :meth:`on_user_access` and :meth:`plan` under their other names,
+    ``_on_user_access`` and ``_plan``: perfbench's trace wraps those
+    names to time the prefetch layer, and a test that scripts the
+    controller's decisions patches them on the class.
     """
 
     __slots__ = (
@@ -130,8 +130,6 @@ class PrefetchController:
         "_in_flight",
         "fetch_table",
         "_pending_view",
-        "_plan_override",
-        "_access_override",
     )
 
     def __init__(
@@ -153,8 +151,6 @@ class PrefetchController:
         self._in_flight: set[Hashable] = set()
         self.fetch_table = None
         self._pending_view = self._in_flight
-        self._plan_override = None
-        self._access_override = None
         if fetch_table is not None:
             self.attach_fetch_table(fetch_table)
 
@@ -166,7 +162,7 @@ class PrefetchController:
     # ------------------------------------------------------------------
     # Access path
     # ------------------------------------------------------------------
-    def _on_user_access(self, item: Hashable, *, now: float, size: float) -> AccessOutcome:
+    def on_user_access(self, item: Hashable, *, now: float, size: float) -> AccessOutcome:
         """Process one user request against the cache (no fetching here).
 
         Returns the outcome; on a miss the caller fetches the item and then
@@ -220,7 +216,7 @@ class PrefetchController:
     # ------------------------------------------------------------------
     # Prefetch planning
     # ------------------------------------------------------------------
-    def _plan(
+    def plan(
         self,
         *,
         now: float,
@@ -250,32 +246,9 @@ class PrefetchController:
         self.stats.prefetches_issued += len(chosen)
         return chosen
 
-    # ------------------------------------------------------------------
-    # Assignable behaviour seams (survive __slots__)
-    # ------------------------------------------------------------------
-    @property
-    def on_user_access(self):
-        """The access entry point — assignable per instance.
-
-        Reading gives the active callable (an instance override if one was
-        assigned, else the bound default); assigning replaces it, exactly
-        like attribute shadowing on a ``__dict__``-ful class.
-        """
-        return self._access_override or self._on_user_access
-
-    @on_user_access.setter
-    def on_user_access(self, fn) -> None:
-        self._access_override = fn
-
-    @property
-    def plan(self):
-        """The planning entry point — assignable per instance (see
-        :attr:`on_user_access`)."""
-        return self._plan_override or self._plan
-
-    @plan.setter
-    def plan(self, fn) -> None:
-        self._plan_override = fn
+    # The request path's names for the two methods (see the class notes).
+    _on_user_access = on_user_access
+    _plan = plan
 
     @property
     def in_flight(self) -> frozenset:

@@ -109,10 +109,10 @@ class DynamicThresholdPolicy(CutoffPolicy):
         return self._prefetches_issued / self._requests_seen
 
     def current_threshold(self) -> float:
-        return self.estimator.threshold(
-            model=self.model,  # type: ignore[arg-type]
-            n_f=self.mean_prefetch_count,
-        )
+        # Eq. 13 (model A) has no n̄(F) term: read it for eq. 21 only.
+        if self.model == "A":
+            return self.estimator.threshold()
+        return self.estimator.threshold(model="B", n_f=self.mean_prefetch_count)
 
     def decision_cutoff(self, context: PolicyContext) -> float:
         # This decision counts towards n̄(F) before p̂_th reads it; a NaN

@@ -346,7 +346,7 @@ class ProxyNode:
             )
         return self.peer_link.fetch(
             item=item,
-            size=self.sim.origin.size_of(item),
+            size=self.origin.size_of(item),
             kind="peer",
             client=client,
         )
@@ -399,7 +399,10 @@ class RequestPath:
     callback on its fetch event, completes it.  All origin fetches go
     through ``sim.fetch`` so the topology's routing decides which node's
     link carries them.  With cooperation enabled, a local miss first runs
-    the remote-probe path (see :meth:`Simulation.probe_targets`).
+    the remote-probe path (see :meth:`Simulation.probe_targets`).  The
+    controller is asked through ``_on_user_access`` and ``_plan``, the
+    names :class:`~repro.prefetch.controller.PrefetchController` keeps
+    for its request path.
     """
 
     __slots__ = (
@@ -436,8 +439,9 @@ class RequestPath:
     def request(self, item: Hashable) -> None:
         """Serve one request for ``item``, starting now."""
         t0 = self.env._now
-        size = self.sim.origin.size_of(item)
-        outcome = self.controller.on_user_access(item, now=t0, size=size)
+        # This node's origin view shares the catalogue's size map.
+        size = self.node.origin.size_of(item)
+        outcome = self.controller._on_user_access(item, now=t0, size=size)
         if outcome.hit:
             self.collector.record_request(
                 hit=True,
@@ -582,7 +586,7 @@ class RequestPath:
         load whichever of them plans first.
         """
         controller = self.controller
-        chosen = controller.plan(now=self.env._now, load=self.node.load_estimate)
+        chosen = controller._plan(now=self.env._now, load=self.node.load_estimate)
         if not chosen:
             return
         pending = self.table.pending_items()

@@ -172,13 +172,16 @@ def test_parallel_node_backend_is_bit_identical_and_not_slower():
 
     # the backend is an execution knob: results must be bit-identical
     assert fingerprint(parallel_out) == fingerprint(serial_out)
-    # a multi-core host with a real fan-out must actually win; a capped
-    # single-core run only has to stay in the serial ballpark
+    # a host with a core per worker and to spare must win clearly, any
+    # other multi-core host must win; a capped single-core run only has
+    # to stay in the serial ballpark
     cpus = os.cpu_count() or 1
     speedup = serial_s / parallel_s
     if cpus >= 2 * NODE_WORKERS:
         assert speedup >= 1.8
-    elif cpus == 1:
+    elif cpus > 1:
+        assert speedup > 1.0
+    else:
         assert speedup > 0.5
 
 

@@ -15,7 +15,7 @@ order exactly as ``setdefault`` did.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, deque
 
 import numpy as np
 from hypothesis import given, settings
@@ -124,7 +124,8 @@ def reference_markov_record(p: MarkovPredictor, item) -> None:
             break
         ctx = history[len(history) - k :]
         p._counts[k].setdefault(ctx, Counter())[item] += 1
-    p._recent.append(item)
+    # the history as a bounded deque kept it
+    p._recent = tuple(deque((*history, item), maxlen=p.order))
 
 
 def reference_ppm_record(p: PPMPredictor, item) -> None:
@@ -204,6 +205,7 @@ class TestMarkov:
         for item in history:
             fast.record(item)
             reference_markov_record(slow, item)
+            assert fast._recent == slow._recent
         assert [list(t) for t in fast._counts] == [list(t) for t in slow._counts]
         assert [list(c.items()) for t in fast._counts for c in t.values()] == [
             list(c.items()) for t in slow._counts for c in t.values()

@@ -215,8 +215,13 @@ class TestPlanMatchesSelect:
                 assert policy_state(planned) == policy_state(selected), (name, i)
                 if isinstance(reference, ReferenceDynamic):
                     # n̄(F) as each threshold read saw it, not just the
-                    # counters' final values
-                    assert planned.estimator.reads == reference.estimator.reads, (name, i)
+                    # counters' final values; eq. 13 (model A) has no
+                    # n̄(F) term, so its reads are given the default 0
+                    expected = [
+                        (model, n_f if model == "B" else 0.0)
+                        for model, n_f in reference.estimator.reads
+                    ]
+                    assert planned.estimator.reads == expected, (name, i)
                     assert (planned._requests_seen, planned._prefetches_issued) == (
                         reference._requests_seen,
                         reference._prefetches_issued,

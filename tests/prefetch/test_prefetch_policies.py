@@ -119,6 +119,23 @@ class TestDynamicThreshold:
         policy.select([], ctx())
         assert policy.mean_prefetch_count == pytest.approx(1.0)  # 2 over 2 reqs
 
+    def test_only_model_b_reads_mean_prefetch_count(self, monkeypatch):
+        # Eq. 13 (model A) has no n̄(F) term; eq. 21 (model B) has one.
+        class Read(Exception):
+            pass
+
+        def mean_prefetch_count(policy):
+            raise Read
+
+        monkeypatch.setattr(
+            DynamicThresholdPolicy, "mean_prefetch_count", property(mean_prefetch_count)
+        )
+        est = self._warm_estimator()
+        model_a = DynamicThresholdPolicy(est)
+        assert [i for i, _ in model_a.select(CANDIDATES, ctx())] == ["a", "b"]
+        with pytest.raises(Read):
+            DynamicThresholdPolicy(est, model="B").select(CANDIDATES, ctx())
+
     def test_model_b_needs_cache_size(self):
         est = ThresholdEstimator(bandwidth=50.0)
         with pytest.raises(ParameterError):

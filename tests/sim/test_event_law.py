@@ -14,6 +14,7 @@ import pytest
 from repro.des.environment import NORMAL, URGENT
 from repro.network.link import SharedLink
 from repro.network.messages import FetchResult
+from repro.prefetch import PrefetchController
 from repro.sim import SimulationConfig
 from repro.sim.node import FetchTable, RequestPath
 from repro.sim.simulation import Simulation
@@ -35,15 +36,16 @@ def pushes(monkeypatch):
     return log
 
 
-def scripted_plan(controller, script):
-    """Plan call ``n`` (1-based) returns ``script.get(n, [])``."""
+def scripted_plan(monkeypatch, script):
+    """Plan call ``n`` (1-based) of the one controller returns
+    ``script.get(n, [])``."""
     calls = {"n": 0}
 
-    def plan(*, now, load):
+    def plan(controller, *, now, load):
         calls["n"] += 1
         return list(script.get(calls["n"], []))
 
-    controller.plan = plan
+    monkeypatch.setattr(PrefetchController, "_plan", plan)
 
 
 def hand_built(tmp_path, pushes):
@@ -113,10 +115,12 @@ class TestEventLaw:
         assert 2 in sim.clients[0].cache
 
     @pytest.mark.parametrize("k", [1, 3])
-    def test_k_planned_prefetches_push_one_start_event(self, tmp_path, pushes, k):
+    def test_k_planned_prefetches_push_one_start_event(
+        self, tmp_path, pushes, monkeypatch, k
+    ):
         sim, path = hand_built(tmp_path, pushes)
         cache(sim, 5)
-        scripted_plan(sim.clients[0], {1: [(i, 0.9) for i in range(1, k + 1)]})
+        scripted_plan(monkeypatch, {1: [(i, 0.9) for i in range(1, k + 1)]})
         path.request(5)  # a hit that plans k prefetches
         assert len(pushes) == 1
         assert pushes[0][:2] == (0.0, URGENT)
@@ -163,7 +167,7 @@ class TestEventLaw:
         monkeypatch.setattr(Environment, "start", counting_start)
         sim, path = hand_built(tmp_path, pushes)
         cache(sim, 5)
-        scripted_plan(sim.clients[0], {1: [(i, 0.9) for i in range(1, k + 1)]})
+        scripted_plan(monkeypatch, {1: [(i, 0.9) for i in range(1, k + 1)]})
         path.request(5)  # a hit that plans k prefetches
         sim.env.run()
         assert starts == []
@@ -233,12 +237,12 @@ class TestPlanningOrder:
         calls = {"n": 0}
         script = {2: [(20, 0.9)], 3: [(21, 0.9)]}
 
-        def plan(*, now, load):
+        def plan(controller, *, now, load):
             calls["n"] += 1
             log.append(("plan", calls["n"]))
             return list(script.get(calls["n"], []))
 
-        sim.clients[0].plan = plan
+        monkeypatch.setattr(PrefetchController, "_plan", plan)
         fetch = SharedLink.fetch
 
         def spy(self, *, item, size, kind, client):

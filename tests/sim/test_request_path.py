@@ -82,26 +82,27 @@ class RaisingPrefetchOrigin(FailingPrefetchOrigin):
         return self._origin.fetch(item, kind=kind, client=client)
 
 
-def scripted_plan(controller, script):
-    """Replace ``controller.plan`` with a deterministic per-call script.
+def scripted_plan(monkeypatch, script):
+    """Replace the request path's plan with a deterministic per-call script.
 
     ``script`` maps the 1-based plan-call index to the candidate list to
     return; unlisted calls return [].  This reproduces controller choices
     (e.g. re-choosing an item whose fetch is still pending) without
-    depending on predictor/policy internals.
+    depending on predictor/policy internals.  Every simulation here has
+    one controller, so the script is patched onto the class.
     """
     calls = {"n": 0}
 
-    def plan(*, now, load):
+    def plan(controller, *, now, load):
         calls["n"] += 1
         return list(script.get(calls["n"], []))
 
-    controller.plan = plan
+    monkeypatch.setattr(PrefetchController, "_plan", plan)
     return calls
 
 
 class TestDanglingJoinerDeadlock:
-    def test_joiner_of_failed_prefetch_falls_back_to_demand(self, tmp_path):
+    def test_joiner_of_failed_prefetch_falls_back_to_demand(self, tmp_path, monkeypatch):
         # Request 7 at t=1 triggers a prefetch of 8 that will fail at
         # t~1.5; the request for 8 at t=1.2 joins the pending fetch.
         # Before the fix the joiner was orphaned: never resumed, never
@@ -114,7 +115,7 @@ class TestDanglingJoinerDeadlock:
         ])
         sim = make_sim(path)
         sim.origin = FailingPrefetchOrigin(sim.origin, sim.env, delay=0.5)
-        scripted_plan(sim.clients[0], {1: [(8, 1.0)]})
+        scripted_plan(monkeypatch, {1: [(8, 1.0)]})
         out = sim.run()
         assert out.metrics.requests == 3
         # the fallback demand fetch really happened (7, 8 and 9 are misses)
@@ -122,7 +123,7 @@ class TestDanglingJoinerDeadlock:
         # and the joiner's access time spans join + fallback, not zero
         assert out.metrics.mean_access_time > 0.0
 
-    def test_multiple_joiners_share_one_recovery_fetch(self, tmp_path):
+    def test_multiple_joiners_share_one_recovery_fetch(self, tmp_path, monkeypatch):
         # Two requests join the doomed prefetch of item 8; on failure the
         # first woken joiner issues the recovery demand fetch and the
         # second joins it — one transfer, not one per joiner.
@@ -134,13 +135,13 @@ class TestDanglingJoinerDeadlock:
         ])
         sim = make_sim(path)
         sim.origin = FailingPrefetchOrigin(sim.origin, sim.env, delay=0.5)
-        scripted_plan(sim.clients[0], {1: [(8, 1.0)]})
+        scripted_plan(monkeypatch, {1: [(8, 1.0)]})
         out = sim.run()
         assert out.metrics.requests == 4
         # demand transfers: item 7, ONE shared recovery of 8, item 9
         assert out.link_demand_fetches == 3
 
-    def test_failed_prefetch_without_joiners_is_silent(self, tmp_path):
+    def test_failed_prefetch_without_joiners_is_silent(self, tmp_path, monkeypatch):
         # No request ever joins the doomed prefetch: the failure must not
         # crash the run (an unwaited failed event would be re-raised by the
         # environment) nor leak a pending entry.
@@ -150,7 +151,7 @@ class TestDanglingJoinerDeadlock:
         ])
         sim = make_sim(path)
         sim.origin = FailingPrefetchOrigin(sim.origin, sim.env, delay=0.5)
-        scripted_plan(sim.clients[0], {1: [(8, 1.0)]})
+        scripted_plan(monkeypatch, {1: [(8, 1.0)]})
         out = sim.run()
         assert out.metrics.requests == 2
 
@@ -172,7 +173,7 @@ class TestDanglingJoinerDeadlock:
             PrefetchController, "on_fetch_failed",
             lambda controller, item: released.append(item),
         )
-        scripted_plan(sim.clients[0], {1: [(8, 1.0)]})
+        scripted_plan(monkeypatch, {1: [(8, 1.0)]})
         out = sim.run()
         assert out.metrics.requests == 3
         assert released == [8]
@@ -182,7 +183,7 @@ class TestDanglingJoinerDeadlock:
 
 
 class TestPendingEventOverwrite:
-    def test_replanned_pending_item_is_skipped(self, tmp_path):
+    def test_replanned_pending_item_is_skipped(self, tmp_path, monkeypatch):
         # Item 9 is big (size 5 at bandwidth 1 -> slow prefetch).  Plan
         # call 1 (t~1) prefetches it; the request at t=1.5 joins the
         # pending fetch; plan call 2 (t~2, from the item-2 request)
@@ -196,7 +197,7 @@ class TestPendingEventOverwrite:
             TraceRecord(time=15.0, client=0, item=3, size=0.01),
         ])
         sim = make_sim(path)
-        calls = scripted_plan(sim.clients[0], {1: [(9, 1.0)], 2: [(9, 1.0)]})
+        calls = scripted_plan(monkeypatch, {1: [(9, 1.0)], 2: [(9, 1.0)]})
         out = sim.run()
         assert calls["n"] >= 3  # every request planned
         assert out.metrics.requests == 4
@@ -205,7 +206,7 @@ class TestPendingEventOverwrite:
         # ... and no second prefetch transfer hit the link
         assert out.link_prefetch_fetches == 1
 
-    def test_superseded_plan_keeps_controller_stats_consistent(self, tmp_path):
+    def test_superseded_plan_keeps_controller_stats_consistent(self, tmp_path, monkeypatch):
         # The controller's own issue counter must agree with the collector
         # and the link when a planned item is skipped as already pending.
         path = write_trace(tmp_path, [
@@ -218,7 +219,7 @@ class TestPendingEventOverwrite:
         scripted = {1: [(9, 1.0)], 2: [(9, 1.0)]}
         calls = {"n": 0}
 
-        def plan(*, now, load):
+        def plan(controller, *, now, load):
             calls["n"] += 1
             chosen = scripted.get(calls["n"], [])
             # mimic the real plan(): mark selections in-flight + count them
@@ -227,7 +228,7 @@ class TestPendingEventOverwrite:
             controller.stats.prefetches_issued += len(chosen)
             return list(chosen)
 
-        controller.plan = plan
+        monkeypatch.setattr(PrefetchController, "_plan", plan)
         # make the prefetch of 9 slow enough to still be pending at plan 2
         sim.origin._size_map[9] = 5.0
         out = sim.run()
@@ -264,7 +265,7 @@ class TestWarmupBoundaryLeakage:
         sim = make_sim(path, warmup=10.0, duration=20.0)
         assert sim.run().metrics.requests == 1
 
-    def test_prefetch_retrieval_straddling_warmup_is_excluded(self, tmp_path):
+    def test_prefetch_retrieval_straddling_warmup_is_excluded(self, tmp_path, monkeypatch):
         # The prefetch issued at t~9 (plan after the first request) is
         # still in flight at the warmup boundary; its retrieval must not
         # enter the post-warmup tallies.
@@ -275,7 +276,7 @@ class TestWarmupBoundaryLeakage:
         sim = make_sim(path, warmup=10.0, duration=30.0)
         # prefetch of item 5: size from the spec fallback (1.0) at
         # bandwidth 1 -> completes ~10.01, after the boundary
-        scripted_plan(sim.clients[0], {1: [(5, 1.0)]})
+        scripted_plan(monkeypatch, {1: [(5, 1.0)]})
         out = sim.run()
         assert sim.collector.prefetch_retrieval.count == 0
         assert out.metrics.requests == 1

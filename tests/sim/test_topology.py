@@ -23,6 +23,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.network.topology import HashRing, TopologyConfig
+from repro.prefetch import PrefetchController
 from repro.sim import SimulationConfig, Simulation, run_simulation
 from repro.sim.metrics import finalize_aggregate
 from repro.workload import TraceRecord, WorkloadSpec, save_trace
@@ -130,17 +131,19 @@ class TestUnifiedFetchTable:
         defaults.update(overrides)
         return Simulation(SimulationConfig(**defaults))
 
-    def scripted_plan(self, controller, script):
+    def scripted_plan(self, monkeypatch, script):
         calls = {"n": 0}
 
-        def plan(*, now, load):
+        def plan(controller, *, now, load):
             calls["n"] += 1
             return list(script.get(calls["n"], []))
 
-        controller.plan = plan
+        monkeypatch.setattr(PrefetchController, "_plan", plan)
         return calls
 
-    def test_prefetch_planned_for_demand_pending_item_is_skipped(self, tmp_path):
+    def test_prefetch_planned_for_demand_pending_item_is_skipped(
+        self, tmp_path, monkeypatch
+    ):
         # Item 9 is big (size 5 at bandwidth 1): the request at t=1 starts
         # a ~5s demand fetch.  The request for item 1 at t=2 completes
         # quickly — its plan runs first (plan call 1, at ~t=2.02) and
@@ -155,7 +158,7 @@ class TestUnifiedFetchTable:
             TraceRecord(time=15.0, client=0, item=2, size=0.01),
         ])
         sim = self.make_sim(path)
-        self.scripted_plan(sim.clients[0], {1: [(9, 1.0)]})
+        self.scripted_plan(monkeypatch, {1: [(9, 1.0)]})
         out = sim.run()
         assert out.metrics.requests == 3
         assert out.link_prefetch_fetches == 0  # pre-refactor: 1

@@ -13,6 +13,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.prefetch import PrefetchController
 from repro.sim import SimulationConfig, run_simulation
 from repro.sim.simulation import Simulation
 from repro.sim.sweep import SweepExecutor, SweepPoint, scenario_hash
@@ -71,7 +72,7 @@ def metrics_equal(a, b):
 
 
 class TestReplayDrivesTheDES:
-    def test_exact_timestamps_and_items(self, tmp_path):
+    def test_exact_timestamps_and_items(self, tmp_path, monkeypatch):
         # A hand-written trace: the simulation must issue exactly these
         # requests at exactly these times.
         records = [
@@ -87,14 +88,13 @@ class TestReplayDrivesTheDES:
         # Track every user access through the controllers (hits don't
         # reach the origin, so instrumenting fetches would miss them).
         accesses = []
-        for client, controller in enumerate(sim.clients):
-            original = controller.on_user_access
+        on_user_access = PrefetchController._on_user_access
 
-            def on_access(item, *, now, size, _orig=original, _c=client):
-                accesses.append((round(now, 9), _c, item))
-                return _orig(item, now=now, size=size)
+        def on_access(controller, item, *, now, size):
+            accesses.append((round(now, 9), sim.clients.index(controller), item))
+            return on_user_access(controller, item, now=now, size=size)
 
-            controller.on_user_access = on_access
+        monkeypatch.setattr(PrefetchController, "_on_user_access", on_access)
         out = sim.run()
         assert accesses == [(1.25, 0, 3), (2.5, 1, 4), (2.5, 0, 3),
                             (4.0, 1, 5)]
