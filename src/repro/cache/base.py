@@ -49,7 +49,7 @@ class CacheEntry:
     priority: float = 0.0
 
 
-@dataclass
+@dataclass(slots=True)
 class CacheStats:
     """Counters maintained by every cache instance."""
 

@@ -18,7 +18,6 @@ models A and B:
 from __future__ import annotations
 
 import math
-from collections import deque
 from typing import Literal
 
 from repro.errors import ParameterError
@@ -38,31 +37,44 @@ class RateEstimator:
     so the estimator tracks non-stationary load.
     """
 
-    __slots__ = ("window", "_times")
+    __slots__ = ("window", "_times", "_oldest")
 
     def __init__(self, window: int = 512) -> None:
         if window < 2:
             raise ParameterError(f"window must be >= 2, got {window!r}")
         self.window = int(window)
-        self._times: "deque[float]" = deque(maxlen=self.window)
+        # A list that grows with the observations and, once it holds
+        # ``window`` of them, wraps as a ring: ``_times[_oldest]`` is the
+        # oldest time and ``_times[_oldest - 1]`` the newest.  An estimator
+        # that sees few events holds only those (a ``deque(maxlen=…)``
+        # allocates a whole block on its first one).
+        self._times: list[float] = []
+        self._oldest = 0
 
     def observe(self, now: float) -> None:
-        if self._times and now < self._times[-1]:
+        times = self._times
+        if times and now < times[self._oldest - 1]:
             raise ParameterError("rate estimator saw time going backwards")
-        self._times.append(float(now))
+        if len(times) < self.window:
+            times.append(float(now))
+        else:
+            times[self._oldest] = float(now)
+            self._oldest = (self._oldest + 1) % self.window
 
     @property
     def rate(self) -> float:
         """Events per time unit; NaN until two observations arrived."""
-        if len(self._times) < 2:
+        times = self._times
+        if len(times) < 2:
             return float("nan")
-        span = self._times[-1] - self._times[0]
+        span = times[self._oldest - 1] - times[self._oldest]
         if span <= 0:
             return float("nan")
-        return (len(self._times) - 1) / span
+        return (len(times) - 1) / span
 
     def reset(self) -> None:
         self._times.clear()
+        self._oldest = 0
 
 
 class ThresholdEstimator:

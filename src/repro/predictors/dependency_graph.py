@@ -11,7 +11,7 @@ With ``w = 1`` it coincides with the first-order Markov predictor.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from typing import Optional
 
 from repro.errors import ParameterError
@@ -38,7 +38,8 @@ class DependencyGraphPredictor(Predictor):
         self.window = int(window)
         self._edges: dict[Item, Counter] = {}
         self._node_count: Counter = Counter()
-        self._recent: deque[Item] = deque(maxlen=window)
+        # the last ``window`` items, oldest first
+        self._recent: tuple[Item, ...] = ()
         self._last: Optional[Item] = None
 
     def record(self, item: Item) -> None:
@@ -53,7 +54,7 @@ class DependencyGraphPredictor(Predictor):
                 out = self._edges[source] = Counter()
             out[item] += 1
         self._node_count[item] += 1
-        self._recent.append(item)
+        self._recent = (self._recent + (item,))[-self.window :]
         self._last = item
 
     def predict_above(self, floor: float) -> list[tuple[Item, float]]:

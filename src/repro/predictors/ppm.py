@@ -24,7 +24,7 @@ conservative direction for a prefetcher deciding against ``p_th``.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 
 from repro.errors import ParameterError
 from repro.predictors.base import Item, Predictor, ranked
@@ -57,10 +57,11 @@ class PPMPredictor(Predictor):
         self._counts: list[dict[tuple, Counter]] = [
             dict() for _ in range(max_order + 1)
         ]
-        self._recent: deque[Item] = deque(maxlen=max_order)
+        # the last ``max_order`` items, oldest first (``()`` at order 0)
+        self._recent: tuple[Item, ...] = ()
 
     def record(self, item: Item) -> None:
-        history = tuple(self._recent)
+        history = self._recent
         for k in range(0, self.max_order + 1):
             if len(history) < k:
                 break
@@ -70,7 +71,8 @@ class PPMPredictor(Predictor):
             if table is None:
                 table = counts[ctx] = Counter()
             table[item] += 1
-        self._recent.append(item)
+        if self.max_order:
+            self._recent = (history + (item,))[-self.max_order :]
 
     def predict_above(self, floor: float) -> list[tuple[Item, float]]:
         """Blended next-item distribution, above ``floor``.
@@ -79,7 +81,7 @@ class PPMPredictor(Predictor):
         i.e. they leave room for never-seen items — a proper sub-probability
         model, which the prefetch controller treats as-is.
         """
-        history = tuple(self._recent)
+        history = self._recent
         scores: dict[Item, float] = {}
         carry = 1.0  # product of escape probabilities from higher orders
         for k in range(min(self.max_order, len(history)), -1, -1):

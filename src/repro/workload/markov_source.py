@@ -38,6 +38,10 @@ class MarkovChainSource:
         transition matrix known in closed form.
     rng:
         Generator for the random draws.
+    memos:
+        Optional registry of :meth:`true_distribution` memos, keyed by
+        ``(catalog, q, shift)``: sources built with one registry and equal
+        keys share one memo (a simulation passes one per build).
     """
 
     __slots__ = (
@@ -56,6 +60,7 @@ class MarkovChainSource:
         follow_probability: float = 0.8,
         successor_shift: int = 1,
         rng: np.random.Generator | None = None,
+        memos: dict | None = None,
     ) -> None:
         if not 0.0 <= follow_probability <= 1.0:
             raise ParameterError(
@@ -71,7 +76,14 @@ class MarkovChainSource:
         # The transition structure is immutable after construction, so the
         # per-state true distribution is cached: predictors query it on
         # every request, which otherwise dominates full-system run time.
-        self._dist_cache: dict[tuple[int, int], list[tuple[int, float]]] = {}
+        # It depends only on the catalogue, q and the shift.
+        self._dist_cache: dict[tuple[int, int], list[tuple[int, float]]] = (
+            {}
+            if memos is None
+            else memos.setdefault(
+                (catalog, self.follow_probability, self.successor_shift), {}
+            )
+        )
 
     def successor(self, item: int) -> int:
         return (item + self.successor_shift) % self.catalog.num_items
@@ -180,8 +192,8 @@ class MarkovChainSource:
     def true_distribution(self, last_item: int, *, top: int = 10) -> list[tuple[int, float]]:
         """The true next-access distribution's ``top`` heaviest entries.
 
-        Cached per ``(last_item, top)``; callers must treat the returned
-        list as read-only.
+        Cached per ``(last_item, top)``, in a memo other sources may share;
+        callers must treat the returned list as read-only.
         """
         key = (last_item, top)
         cached = self._dist_cache.get(key)

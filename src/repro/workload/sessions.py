@@ -200,14 +200,18 @@ class WorkloadSpec:
     def make_arrivals(self, client: int | None = None) -> ArrivalProcess:
         return PoissonArrivals(self.rate_of(client))
 
-    def make_source(self, client: int, streams: RandomStreams) -> MarkovChainSource:
-        """Per-client reference source (independent RNG stream)."""
+    def make_source(
+        self, client: int, streams: RandomStreams, memos: dict | None = None
+    ) -> MarkovChainSource:
+        """Per-client reference source (independent RNG stream; ``memos``
+        as in :class:`~repro.workload.markov_source.MarkovChainSource`)."""
         return MarkovChainSource(
             self.make_catalog(client),
             follow_probability=float(
                 self.client_param(client, "follow_probability")
             ),
             rng=streams.get(f"client{client}/items"),
+            memos=memos,
         )
 
     # ------------------------------------------------------------------
@@ -221,7 +225,11 @@ class WorkloadSpec:
         return tuple(PoissonArrivals(base * m) for m in schedule.multipliers)
 
     def make_phase_sources(
-        self, client: int, streams: RandomStreams, schedule: PhaseSchedule
+        self,
+        client: int,
+        streams: RandomStreams,
+        schedule: PhaseSchedule,
+        memos: dict | None = None,
     ) -> tuple[MarkovChainSource, ...]:
         """One reference source per item variant (dedicated RNG streams).
 
@@ -232,7 +240,7 @@ class WorkloadSpec:
         built at that method's cost.
         """
         if schedule.variant_keys == STATIONARY.variant_keys:
-            return (self.make_source(client, streams),)
+            return (self.make_source(client, streams, memos),)
         catalogs = schedule.variant_catalogs(
             catalog_size=int(self.client_param(client, "catalog_size")),
             zipf_exponent=float(self.client_param(client, "zipf_exponent")),
@@ -241,7 +249,7 @@ class WorkloadSpec:
         q = float(self.client_param(client, "follow_probability"))
         return tuple(
             MarkovChainSource(
-                catalog, follow_probability=q, rng=streams.get(name)
+                catalog, follow_probability=q, rng=streams.get(name), memos=memos
             )
             for catalog, name in zip(catalogs, names)
         )

@@ -1,10 +1,11 @@
 """Tests for EWMA, the §4 h' estimator, and the dynamic threshold."""
 
 import math
+from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ParameterError
@@ -162,6 +163,73 @@ class TestRateEstimator:
         est.observe(5.0)
         with pytest.raises(ParameterError):
             est.observe(4.0)
+
+
+class DequeRateEstimator:
+    """The rate window as a ``deque(maxlen=window)``: the reference."""
+
+    def __init__(self, window: int) -> None:
+        self.times: deque = deque(maxlen=window)
+
+    def observe(self, now: float) -> None:
+        if self.times and now < self.times[-1]:
+            raise ParameterError("rate estimator saw time going backwards")
+        self.times.append(float(now))
+
+    @property
+    def rate(self) -> float:
+        if len(self.times) < 2:
+            return float("nan")
+        span = self.times[-1] - self.times[0]
+        if span <= 0:
+            return float("nan")
+        return (len(self.times) - 1) / span
+
+
+def same_float(a: float, b: float) -> bool:
+    return (math.isnan(a) and math.isnan(b)) or a == b
+
+
+#: (gap, count): ``count`` observations ``gap`` apart; a gap of 0 repeats
+#: a timestamp, so a window of equal times reads NaN
+RUNS = st.tuples(
+    st.one_of(st.just(0.0), st.floats(1e-9, 5.0)), st.integers(1, 700)
+)
+
+
+class TestRateWindowRing:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        window=st.integers(2, 600),
+        start=st.floats(0.0, 1e6),
+        ops=st.lists(
+            st.one_of(RUNS, st.floats(1e-6, 5.0), st.just("reset")), max_size=8
+        ),
+    )
+    @example(window=3, start=0.0, ops=[(1.0, 10), 0.5, "reset", (0.0, 4), (0.25, 5)])
+    def test_ring_equals_a_deque_window_bit_for_bit(self, window, start, ops):
+        ring, ref = RateEstimator(window=window), DequeRateEstimator(window)
+        now, held = start, 0
+        for op in ops:
+            if op == "reset":
+                ring.reset()
+                ref.times.clear()
+                held = 0
+            elif isinstance(op, float):
+                if held:  # one step back in time: both refuse it
+                    for est in (ring, ref):
+                        with pytest.raises(ParameterError):
+                            est.observe(now - op)
+            else:
+                gap, count = op
+                for _ in range(count):
+                    now += gap
+                    ring.observe(now)
+                    ref.observe(now)
+                    held = min(held + 1, window)
+                    assert len(ring._times) == held
+                    assert same_float(ring.rate, ref.rate)
+            assert same_float(ring.rate, ref.rate)
 
 
 class TestThresholdEstimator:

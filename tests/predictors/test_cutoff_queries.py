@@ -135,7 +135,8 @@ def reference_ppm_record(p: PPMPredictor, item) -> None:
             break
         ctx = history[len(history) - k :]
         p._counts[k].setdefault(ctx, Counter())[item] += 1
-    p._recent.append(item)
+    # the history as a bounded deque kept it
+    p._recent = tuple(deque((*history, item), maxlen=p.max_order))
 
 
 def reference_dependency_graph_record(p: DependencyGraphPredictor, item) -> None:
@@ -146,7 +147,8 @@ def reference_dependency_graph_record(p: DependencyGraphPredictor, item) -> None
         seen_sources.add(source)
         p._edges.setdefault(source, Counter())[item] += 1
     p._node_count[item] += 1
-    p._recent.append(item)
+    # the history as a bounded deque kept it
+    p._recent = tuple(deque((*p._recent, item), maxlen=p.window))
     p._last = item
 
 
@@ -161,8 +163,10 @@ def floors_for(dist) -> list[float]:
     return [-math.inf, 0.0, *probs, *mids, 1.0, math.inf, math.nan]
 
 
-def assert_cutoff_matches(predictor, reference) -> None:
-    full = reference(predictor)
+def assert_cutoff_matches(predictor, reference, state=None) -> None:
+    """``predictor``'s cutoff queries filter ``reference`` read over
+    ``state`` (another predictor's counts and history; default its own)."""
+    full = reference(predictor if state is None else state)
     assert predictor.predict() == full
     for floor in floors_for(full):
         assert predictor.predict_above(floor) == [c for c in full if c[1] > floor], floor
@@ -225,9 +229,17 @@ class TestPPM:
         for item in history:
             fast.record(item)
             reference_ppm_record(slow, item)
+            assert fast._recent == slow._recent
+            assert_cutoff_matches(fast, reference_ppm, slow)
         assert [list(t.items()) for t in fast._counts] == [
             list(t.items()) for t in slow._counts
         ]
+
+    def test_order_zero_keeps_no_history(self):
+        p = PPMPredictor(max_order=0)
+        p.warm_up(["a", "b", "a"])
+        assert p._recent == ()
+        assert p.predict() == [("a", 0.4), ("b", 0.2)]
 
 
 class TestDependencyGraph:
@@ -246,6 +258,8 @@ class TestDependencyGraph:
         for item in history:
             fast.record(item)
             reference_dependency_graph_record(slow, item)
+            assert fast._recent == slow._recent
+            assert_cutoff_matches(fast, reference_dependency_graph, slow)
         assert [(s, list(c.items())) for s, c in fast._edges.items()] == [
             (s, list(c.items())) for s, c in slow._edges.items()
         ]

@@ -8,6 +8,8 @@ decides only *when* a first draw happens.  So every config here is built
 twice, with the constant at 0 (nothing screened) and at +inf (every
 synthetic entity screened), and the two runs must give the same output
 fingerprint (``perfbench.checks.fingerprint``) and the same event counts.
+The screen derives its arrival streams ``simulation.SCREEN_BATCH`` at a
+time, and the batch size must move nothing either.
 
 Cooperative migration is the one exclusion: it admits migrated items into
 every cache homed at a node, idle entities' included.
@@ -29,6 +31,7 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 sys.path.insert(0, str(REPO_ROOT))
 
 from perfbench.checks import fingerprint  # noqa: E402
+from repro.des.rng import BATCH_CROSSOVER, RandomStreams  # noqa: E402
 from repro.network.topology import CooperationConfig, TopologyConfig  # noqa: E402
 from repro.scenario import compile_config, load_scenario  # noqa: E402
 from repro.sim import simulation  # noqa: E402
@@ -171,6 +174,61 @@ class TestScreeningIsInvisible:
         assert none_idle == 0
         assert screened == built
         assert screened_events == built_events
+
+
+class TestScreenBatchIsInvisible:
+    @settings(
+        max_examples=20,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(config=sparse_configs())
+    def test_same_output_at_batch_size_one_and_infinity(self, config):
+        with mock.patch.object(simulation, "SCREEN_BATCH", 1):
+            single = outcome(config, math.inf)
+        with mock.patch.object(simulation, "SCREEN_BATCH", math.inf):
+            whole = outcome(config, math.inf)
+        assert single == whole
+
+
+def registry_marks(config: SimulationConfig) -> tuple[int, int]:
+    """(high-water mark of the stream registry during the build, the
+    streams it holds once the build is done)."""
+    marks = []
+
+    def counting(method):
+        def wrapper(streams, names):
+            result = method(streams, names)
+            marks.append(len(streams._streams))
+            return result
+
+        return wrapper
+
+    with mock.patch.object(
+        RandomStreams, "derive", counting(RandomStreams.derive)
+    ), mock.patch.object(RandomStreams, "get", counting(RandomStreams.get)):
+        sim = Simulation(config)
+    return max(marks), len(sim.streams._streams)
+
+
+def test_a_sparse_build_holds_one_screen_batch_at_a_time():
+    # 12 000 clients expecting 0.15 arrivals each: about 1 700 are built.
+    config = SimulationConfig(
+        workload=WorkloadSpec(
+            num_clients=12_000, request_rate=900.0, catalog_size=60
+        ),
+        bandwidth=40.0,
+        cache_capacity=8,
+        policy="threshold-dynamic",
+        duration=2.0,
+        warmup=0.2,
+        seed=5,
+    )
+    high_water, kept = registry_marks(config)
+    largest_batch = simulation.SCREEN_BATCH + BATCH_CROSSOVER - 1
+    assert high_water <= kept + largest_batch
+    # Deriving every screened entity's stream at once would break it.
+    assert config.workload.num_clients > kept + largest_batch
 
 
 def sparse_cooperative_migration() -> SimulationConfig:

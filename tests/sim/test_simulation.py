@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.sim import SimulationConfig, run_simulation
+from repro.sim.simulation import Simulation
 from repro.workload.sessions import WorkloadSpec
 
 
@@ -158,3 +159,42 @@ class TestConfigValidation:
     def test_bandwidth_positive(self):
         with pytest.raises(ConfigurationError):
             small_config(bandwidth=0.0)
+
+
+class TestTrueDistributionMemo:
+    """Sources of one build with equal catalogue, q and successor shift
+    share one true-distribution memo; another build has its own."""
+
+    def config(self):
+        workload = WorkloadSpec(
+            num_clients=4,
+            request_rate=20.0,
+            catalog_size=100,
+            zipf_exponent=0.9,
+            follow_probability=0.7,
+            client_overrides={2: {"follow_probability": 0.3}, 3: {"catalog_size": 50}},
+        )
+        return small_config(workload=workload, predictor="true-distribution")
+
+    @staticmethod
+    def memos(sim):
+        return [client.predictor._source._dist_cache for client in sim.clients]
+
+    def test_equal_sources_share_within_a_build_only(self):
+        first = self.memos(Simulation(self.config()))
+        assert first[0] is first[1]
+        assert len({id(memo) for memo in first}) == 3
+        second = self.memos(Simulation(self.config()))
+        assert second[0] is second[1]
+        assert not {id(memo) for memo in first} & {id(memo) for memo in second}
+
+    def test_a_shared_row_stays_read_only(self):
+        sim = Simulation(self.config())
+        owner, sharer = sim.clients[0].predictor, sim.clients[1].predictor
+        owner.record(3)
+        sharer.record(3)
+        above = owner.predict_above(0.0)
+        expected = list(above)
+        assert expected
+        above.clear()
+        assert sharer.predict_above(0.0) == expected

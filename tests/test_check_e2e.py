@@ -130,3 +130,41 @@ class TestSameAs:
 
     def test_flag_without_a_file_is_a_usage_error(self, tmp_path):
         assert check_e2e.main([str(tmp_path / "x.json"), "--same-as"]) == 2
+
+
+def rss(mb: float) -> dict:
+    """A workload's fields with a median ``peak_rss_mb`` of ``mb``."""
+    return {"metrics": {"peak_rss_mb": {"unit": "MB", "median": mb, "samples": [mb]}}}
+
+
+class TestPeakRss:
+    def test_each_workload_is_printed_next_to_the_base(self, tmp_path, capsys):
+        base = result(a=rss(60.0), b=rss(30.0))
+        change = result(a=rss(52.5), b=rss(30.0))
+        status, out = same_as_run(tmp_path, change, base, capsys)
+        assert status == 0
+        assert "a: peak_rss_mb 52.50 MB, base 60.00 MB (0.875x)" in out
+        assert "b: peak_rss_mb 30.00 MB, base 30.00 MB (1.000x)" in out
+        assert "::warning::" not in out
+
+    def test_more_than_one_percent_above_the_base_only_warns(self, tmp_path, capsys):
+        base = result(a=rss(60.0), b=rss(30.0))
+        change = result(a=rss(60.0 * 1.02), b=rss(30.0 * 1.005))
+        status, out = same_as_run(tmp_path, change, base, capsys)
+        assert status == 0
+        assert "::warning::a: peak_rss_mb 61.20 MB, base 60.00 MB (1.020x): more than 1%" in out
+        assert "::warning::b:" not in out
+        assert "fingerprints equal" in out
+
+    def test_a_workload_without_the_metric_is_skipped(self, tmp_path, capsys):
+        base = result(a=rss(60.0), b=rss(30.0))
+        change = result(a={}, b=rss(29.0))
+        status, out = same_as_run(tmp_path, change, base, capsys)
+        assert status == 0
+        assert "a: peak_rss_mb" not in out
+        assert "b: peak_rss_mb 29.00 MB" in out
+
+    def test_the_plain_gate_prints_no_memory(self, tmp_path, capsys):
+        status, out = run(tmp_path, result(a=rss(60.0)), capsys)
+        assert status == 0
+        assert "peak_rss_mb" not in out

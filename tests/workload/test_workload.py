@@ -131,6 +131,25 @@ class TestMarkovSource:
         assert probs == sorted(probs, reverse=True)
         assert dist[0][0] == src.successor(5)
 
+    def test_memos_are_shared_by_equal_catalogue_q_and_shift(self):
+        cat = ZipfCatalog(20)
+        memos: dict = {}
+        a, b = (MarkovChainSource(cat, follow_probability=0.7, memos=memos) for _ in "ab")
+        other_q = MarkovChainSource(cat, follow_probability=0.6, memos=memos)
+        other_shift = MarkovChainSource(
+            cat, follow_probability=0.7, successor_shift=2, memos=memos
+        )
+        other_catalog = MarkovChainSource(
+            ZipfCatalog(20), follow_probability=0.7, memos=memos
+        )
+        own = MarkovChainSource(cat, follow_probability=0.7)
+        assert a.true_distribution(5, top=5) is b.true_distribution(5, top=5)
+        assert len(memos) == 4
+        for source in (other_q, other_shift, other_catalog, own):
+            assert source._dist_cache is not a._dist_cache
+            assert source.true_distribution(5, top=5) is not a.true_distribution(5, top=5)
+        assert own.true_distribution(5, top=5) == a.true_distribution(5, top=5)
+
     def test_zero_follow_is_iid_zipf(self):
         cat = ZipfCatalog(10)
         src = MarkovChainSource(

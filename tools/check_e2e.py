@@ -16,7 +16,10 @@ With ``--same-as BASE.json`` it also checks bit-identity against another
 result file, typically the parent commit's at the same seed: it fails
 when the two files' seeds differ, or when any workload's output
 fingerprints differ from BASE's (a workload present in only one file
-counts as differing).
+counts as differing).  It also prints each workload's median
+``peak_rss_mb`` next to BASE's, with their ratio, and warns, without
+failing, when the change's exceeds BASE's by more than
+:data:`RSS_WARN_ABOVE`: a memory step that no test sees.
 
 Warnings are printed as GitHub Actions ``::warning::`` annotations.
 
@@ -32,6 +35,12 @@ from __future__ import annotations
 import json
 import sys
 from pathlib import Path
+
+
+#: Share by which a workload's median ``peak_rss_mb`` may exceed the
+#: base's before ``--same-as`` warns.  Peak RSS repeats to about 0.1 MB
+#: between rounds, so 1% is past its noise on every workload.
+RSS_WARN_ABOVE = 0.01
 
 
 def gate(document: dict) -> tuple[list[str], list[str]]:
@@ -73,6 +82,28 @@ def same_as(document: dict, base: dict) -> list[str]:
     return failures
 
 
+def peak_rss(document: dict, base: dict) -> tuple[list[str], list[str]]:
+    """(one line per workload comparing its median ``peak_rss_mb`` with
+    ``base``'s, warnings for those more than :data:`RSS_WARN_ABOVE` above)."""
+    ours = document.get("workloads") or {}
+    theirs = base.get("workloads") or {}
+    lines, warnings = [], []
+    for name in sorted(set(ours) & set(theirs)):
+        mine = ours[name].get("metrics", {}).get("peak_rss_mb")
+        other = theirs[name].get("metrics", {}).get("peak_rss_mb")
+        if not (mine and other):
+            continue
+        ratio = mine["median"] / other["median"]
+        line = (
+            f"{name}: peak_rss_mb {mine['median']:.2f} MB, "
+            f"base {other['median']:.2f} MB ({ratio:.3f}x)"
+        )
+        lines.append(line)
+        if ratio > 1.0 + RSS_WARN_ABOVE:
+            warnings.append(f"{line}: more than {RSS_WARN_ABOVE:.0%} above the base")
+    return lines, warnings
+
+
 def _usage() -> int:
     print("usage: check_e2e.py RESULT.json [--same-as BASE.json]", file=sys.stderr)
     return 2
@@ -97,7 +128,12 @@ def main(argv: list[str] | None = None) -> int:
     document = json.loads(path.read_text(encoding="utf-8"))
     failures, warnings = gate(document)
     if base_path is not None:
-        failures += same_as(document, json.loads(base_path.read_text(encoding="utf-8")))
+        base = json.loads(base_path.read_text(encoding="utf-8"))
+        failures += same_as(document, base)
+        lines, rss_warnings = peak_rss(document, base)
+        warnings += rss_warnings
+        for line in lines:
+            print(line)
     for warning in warnings:
         print(f"::warning::{warning}")
     for failure in failures:
