@@ -84,10 +84,16 @@ class RandomStreams:
             )
         return stream
 
-    def pop(self, name: str) -> np.random.Generator | None:
-        """Drop ``name``'s generator from the registry; return it (None if
-        absent).  A later ``get(name)`` derives it afresh."""
-        return self._streams.pop(name, None)
+    def pop(self, name: str) -> np.random.Generator:
+        """Hand ``name``'s generator over: the registry forgets it.
+
+        Derived first if absent, so it starts where ``get`` puts it.  Its
+        consumer then holds the only reference, and the generator dies
+        with it.  A later ``get(name)`` derives it afresh.
+        """
+        if name not in self._streams:
+            self.get(name)
+        return self._streams.pop(name)
 
     def derive(self, names: Sequence[str]) -> None:
         """Create the generators for ``names`` now, in one vectorized pass.

@@ -47,8 +47,8 @@ must wait continues as a process (:meth:`Environment.start
 <repro.des.environment.Environment.start>`), and a request's planned
 prefetches start together from one URGENT event, each completing in a
 callback on its fetch event.  An entity that never arrives in the horizon
-may be homed *idle* (:meth:`ProxyNode.attach_idle`): its id and zero stats
-rows, nothing else.
+may be homed *idle* (:meth:`ProxyNode.attach_idle`): its id, nothing else
+(its zero stats rows are made with the node's output).
 """
 
 from __future__ import annotations
@@ -220,9 +220,10 @@ class ProxyNode:
     * ``collector`` — this node's metrics shard (requests of homed
       clients, including their remote-probe outcomes; utilisation of this
       node's uplink);
-    * per built client: its cache and a :class:`FetchTable`;
-    * ``clients``, every homed entity with idle ones included, aligned
-      with its output rows ``cache_stats`` and ``controller_stats``.
+    * per built client: its cache, its stats rows (``cache_stats`` and
+      ``controller_stats``) and a :class:`FetchTable`;
+    * ``clients``, every homed entity with idle ones included, in build
+      order; the entities with a fetch table are the built ones.
     """
 
     def __init__(
@@ -289,12 +290,10 @@ class ProxyNode:
         self.fetch_tables[client_id] = table
         return table
 
-    def attach_idle(self, client_id: int, cache_stats, controller_stats) -> None:
-        """Home an entity that never arrives: its id and (zero) stats rows."""
+    def attach_idle(self, client_id: int) -> None:
+        """Home an entity that never arrives: its id alone."""
         self._assert_shard_local(f"attach_idle({client_id})")
         self.clients.append(client_id)
-        self.cache_stats.append(cache_stats)
-        self.controller_stats.append(controller_stats)
 
     # ------------------------------------------------------------------
     def drain(self, exc: NodeFailure | None = None) -> int:

@@ -26,12 +26,9 @@ ProcessPoolExecutor` with the guarantees the experiment layer needs:
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import pickle
 import warnings
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence, TypeVar
 
@@ -107,6 +104,11 @@ class ReplicationExecutor:
         jobs = min(self.jobs, len(items))
         if jobs <= 1:
             return [fn(item) for item in items]
+        # Imported here: a serial run never loads the pool modules.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
         if multiprocessing.current_process().daemon:
             # Daemonic workers (e.g. inside another pool) cannot fork.
             return [fn(item) for item in items]

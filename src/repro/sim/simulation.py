@@ -99,24 +99,24 @@ from repro.workload.sessions import entity_stream_names
 __all__ = ["Simulation", "run_simulation", "SimulationOutput", "ProxyShardStats"]
 
 #: Expected arrivals in the horizon (rate × mean phase multiplier ×
-#: duration) below which a synthetic entity is *screened*: its first
-#: arrival is drawn at build time, and an entity with none in the horizon
-#: is homed idle instead of built.  Cost model, measured on a 2-vCPU
-#: x86-64 host (Python 3.11): screening moves an entity's arrival-stream
-#: derivation and first draw from the run into the build, about 8 µs per
+#: duration) below which a synthetic entity is *screened*: its arrivals
+#: are drawn at build time, and an entity with none in the horizon is
+#: homed idle instead of built.  Cost model, measured on a 2-vCPU x86-64
+#: host (Python 3.11): screening moves an entity's arrival-stream
+#: derivation and draws from the run into the build, about 8 µs per
 #: entity in a batched derivation and 25 µs below the batch crossover
 #: (mostly SeedSequence).  It pays back only when the entity turns out
 #: idle, with probability exp(-expected arrivals), above 0.37 here: an
 #: idle entity skips a stack of about 33 µs and 3.2 KB.  Screening busy
 #: entities would only move their first draws into the set-up.  The
-#: constant decides only *when* a first draw happens: no output depends
-#: on it.
+#: constant decides only *when* the draws happen: no output depends on
+#: it.
 SCREEN_BELOW_ARRIVALS = 1.0
 
-#: Screened entities whose arrival streams one ``derive`` call makes.  A
-#: batch's idle entities leave the stream registry before the next batch
-#: is derived, so a sparse build holds its built entities' streams plus
-#: one batch, not a generator per screened entity.  A tail shorter than
+#: Screened entities whose arrival streams one ``derive`` call makes.
+#: Each generator dies once the screen has drawn from it, before the next
+#: batch is derived, so a sparse build holds one batch of them at a time,
+#: not a generator per screened entity.  A tail shorter than
 #: ``BATCH_CROSSOVER`` joins the batch before it, so no batch falls below
 #: the crossover unless the whole screen does.  Each ``derive`` call has a
 #: fixed cost of a few tenths of a millisecond, and the build reuses a
@@ -336,7 +336,6 @@ class Simulation:
         only_nodes: Sequence[int] | None = None,
     ) -> None:
         self.config = config
-        self.streams = RandomStreams(config.seed)
         self.env = Environment()
         #: shard-group restriction of the parallel node backend: a worker
         #: builds the whole tier's *skeleton* (nodes/links/origin views,
@@ -350,8 +349,35 @@ class Simulation:
         #: of a ``node_backend="parallel"`` simulation); None on every
         #: serial/worker path.
         self._plan = None
-        spec = config.workload
         self.replay: TraceReplaySource | None = None
+        #: the fault runtime of a fault-injected run (None otherwise);
+        #: installed after the client build so its routing rebinds wrap
+        #: the fully-resolved closures.
+        self.fault_runtime = None
+        #: controllers and caches of the built entities, in build order
+        #: (idle entities have none)
+        self.clients: list[PrefetchController] = []
+        self._caches = []
+        #: homogeneous classes of an aggregated-backend run, in build
+        #: order, idle classes included (empty per-client)
+        self.client_classes = []
+        if self.only_nodes is None and config.node_backend == "parallel":
+            plan = plan_node_partition(config)
+            if plan.parallel:
+                # Parent of a parallel run: it only dispatches.  The
+                # workers build (only) their own shards, so it keeps its
+                # plan and an idle loop, and derives no stream.
+                self._plan = plan
+                self.nodes = ()
+                return
+            warnings.warn(
+                "node_backend='parallel' falls back to the serial event "
+                "loop (results are identical): " + "; ".join(plan.reasons),
+                RuntimeWarning,
+                stacklevel=2,
+            )
+        self.streams = RandomStreams(config.seed)
+        spec = config.workload
         if config.trace_path is not None:
             # Stream the trace from disk: the summary pass gives client
             # count/size map up front, records are demultiplexed lazily.
@@ -403,30 +429,6 @@ class Simulation:
                 # and the node itself raises on it (see ProxyNode).
                 node.shard_local = node.node_id in owned
         self._bind_router()
-        #: the fault runtime of a fault-injected run (None otherwise);
-        #: installed after the client build so its routing rebinds wrap
-        #: the fully-resolved closures.
-        self.fault_runtime = None
-        #: controllers and caches of the built entities, in build order
-        #: (idle entities have none)
-        self.clients: list[PrefetchController] = []
-        self._caches = []
-        #: homogeneous classes of an aggregated-backend run, in build
-        #: order, idle classes included (empty per-client)
-        self.client_classes = []
-        if self.only_nodes is None and config.node_backend == "parallel":
-            plan = plan_node_partition(config)
-            if plan.parallel:
-                # Parent of a parallel run: a dispatcher, not a builder —
-                # the workers build (only) their own shard's clients.
-                self._plan = plan
-                return
-            warnings.warn(
-                "node_backend='parallel' falls back to the serial event "
-                "loop (results are identical): " + "; ".join(plan.reasons),
-                RuntimeWarning,
-                stacklevel=2,
-            )
         with _collector_scope(freeze=False):
             self._build_clients()
         # Fault injection: only a NON-empty schedule installs anything —
@@ -610,7 +612,7 @@ class Simulation:
         """
         if self.config.cache_policy.lower() != "random":
             return None
-        return self.streams.get(f"{label}/evictions")
+        return self.streams.pop(f"{label}/evictions")
 
     def _node_rates(self, schedule, rates) -> list[float]:
         """Offered request rate per node, the load a policy plans against.
@@ -689,12 +691,13 @@ class Simulation:
         )
 
     def _first_arrival(self, schedule, label: str, rate: float):
-        """An entity's ``arrival_times`` iterator and its first arrival
-        (None when it has none in the horizon)."""
+        """An entity's ``arrival_times`` iterator, which takes its arrival
+        stream over, and its first arrival (None when it has none in the
+        horizon)."""
         arrivals = arrival_times(
             schedule,
             rate,
-            self.streams.get(f"{label}/arrivals"),
+            self.streams.pop(f"{label}/arrivals"),
             horizon=self.config.duration,
         )
         return arrivals, next(arrivals, None)
@@ -707,9 +710,11 @@ class Simulation:
         under its representative's (lowest member's) id.  A one-member
         entity is built exactly like a client, so a singleton class is
         bit-identical to the per-client backend (pinned by tests).  A
-        screened entity (:data:`SCREEN_BELOW_ARRIVALS`) whose first
-        arrival falls past the horizon is homed idle: zero stats rows and
-        nothing else.
+        screened entity (:data:`SCREEN_BELOW_ARRIVALS`) draws its whole
+        horizon here, and one whose first arrival falls past the horizon
+        is homed idle: its id and nothing else.  Every per-entity stream
+        leaves the registry for its consumer (a source, a cache, an
+        arrival iterator), so it dies with the entity's request path.
         """
         config = self.config
         spec = config.workload
@@ -747,7 +752,7 @@ class Simulation:
             rates = ((topo.home_of(c), spec.rate_of(c)) for c in range(n))
         node_rates = self._node_rates(schedule, rates)
         # Per entity: None (first arrival drawn when armed), its screened
-        # (arrival iterator, first arrival), or _IDLE.
+        # (iterator over the rest of its arrivals, first arrival), or _IDLE.
         drawn: list = [None] * len(entities)
         if self._screens():
             expected = schedule.average_multiplier() * config.duration
@@ -771,20 +776,26 @@ class Simulation:
                 for i in batch:
                     _, _, label, _, rate = entities[i]
                     arrivals, first = self._first_arrival(schedule, label, rate)
-                    if first is None:
-                        streams.pop(f"{label}/arrivals")
-                        drawn[i] = _IDLE
-                    else:
-                        drawn[i] = arrivals, first
+                    # The same draws the run would make, made now, so no
+                    # generator outlives the screen.
+                    drawn[i] = _IDLE if first is None else (
+                        iter(tuple(arrivals)), first
+                    )
         # Derive every stream the loop below and the arming read, at once
         # (below the batch crossover each is derived on first use); the
-        # screened entities' arrival streams are already in the registry.
+        # screened entities have drawn their arrivals already.
         streams.derive(
             entity_stream_names(
                 [e[2] for e, pre in zip(entities, drawn) if pre is not _IDLE],
                 schedule,
-                arrivals=self.replay is None,
+                arrivals=False,
                 evictions=config.cache_policy.lower() == "random",
+            )
+            + entity_stream_names(
+                [e[2] for e, pre in zip(entities, drawn) if pre is None],
+                schedule,
+                items=False,
+                arrivals=self.replay is None,
             )
         )
         # One true-distribution memo per (catalogue, q, shift) in this build
@@ -794,7 +805,7 @@ class Simulation:
         for (node_id, rep, label, cls, rate), pre in zip(entities, drawn):
             node = self.nodes[node_id]
             if pre is _IDLE:
-                node.attach_idle(rep, CacheStats(), ControllerStats())
+                node.attach_idle(rep)
                 continue
             if cls is None or cls.singleton:
                 sources = spec.make_phase_sources(rep, streams, schedule, memos)
@@ -814,7 +825,7 @@ class Simulation:
                         catalog,
                         num_members=cls.size,
                         follow_probability=cls.follow_probability,
-                        rng=streams.get(name),
+                        rng=streams.pop(name),
                     )
                     for catalog, name in zip(
                         catalogs, schedule.stream_names(f"{label}/items")
@@ -916,6 +927,19 @@ class Simulation:
         payloads = []
         for node_id in owned:
             node = self.nodes[node_id]
+            # The node holds its built entities' rows; an idle entity gets
+            # fresh zero rows here, not for the whole run.
+            tables = node.fetch_tables
+            live = iter(node.cache_stats)
+            cache_stats = [
+                next(live) if entity in tables else CacheStats()
+                for entity in node.clients
+            ]
+            live = iter(node.controller_stats)
+            controller_stats = [
+                next(live) if entity in tables else ControllerStats()
+                for entity in node.clients
+            ]
             payloads.append(
                 NodeShardPayload(
                     node_id=node_id,
@@ -933,8 +957,8 @@ class Simulation:
                     peer_bytes=(
                         node.peer_link.peer_bytes if node.peer_link else 0.0
                     ),
-                    cache_stats=node.cache_stats,
-                    controller_stats=node.controller_stats,
+                    cache_stats=cache_stats,
+                    controller_stats=controller_stats,
                     # A node's classes are its entities, in the same order.
                     class_rows=tuple(
                         ClientClassStats(
@@ -950,9 +974,7 @@ class Simulation:
                             prefetches_completed=controller.prefetches_completed,
                         )
                         for cls, cache, controller in zip(
-                            node_classes[node_id],
-                            node.cache_stats,
-                            node.controller_stats,
+                            node_classes[node_id], cache_stats, controller_stats
                         )
                     ),
                 )

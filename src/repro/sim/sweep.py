@@ -43,12 +43,16 @@ import numpy as np
 
 from repro.analysis.confidence import ConfidenceInterval, mean_confidence_interval
 from repro.analysis.series import Series, SweepResult
+from repro.cache.base import CacheStats
 from repro.errors import ConfigurationError
+from repro.prefetch.controller import ControllerStats
 from repro.sim.config import NODE_BACKENDS, SimulationConfig
-from repro.sim.metrics import SimulationMetrics
+from repro.sim.faults import FaultTimelineRow
+from repro.sim.kpis import QuantileSketch, RunKPIs
+from repro.sim.metrics import ClientClassStats, SimulationMetrics
 from repro.sim.mirror import MirrorConfig, run_mirror
 from repro.sim.parallel import ReplicationExecutor, cap_node_workers, resolve_jobs
-from repro.sim.simulation import SimulationOutput, run_simulation
+from repro.sim.simulation import ProxyShardStats, SimulationOutput, run_simulation
 
 __all__ = [
     "ReplicatedResult",
@@ -104,6 +108,43 @@ __all__ = [
 #:     completed after it is no longer measured, so mirror points
 #:     reproduce no v11 entry (SimulationConfig outputs are unchanged).
 CACHE_SCHEMA_VERSION = 12
+
+#: Every class whose instances a cache entry pickles: a simulation's output
+#: and everything in it, and a mirror's metrics.
+RESULT_CLASSES = (
+    SimulationOutput,
+    SimulationMetrics,
+    ProxyShardStats,
+    ClientClassStats,
+    CacheStats,
+    ControllerStats,
+    RunKPIs,
+    QuantileSketch,
+    FaultTimelineRow,
+)
+
+
+def _result_layout() -> str:
+    """Digest of :data:`RESULT_CLASSES`' layouts, stored with each entry.
+
+    A pickle names an object's class and restores its fields by name, so
+    an entry written under another layout fails to load or loads stale
+    objects; a different digest makes it a miss instead.  A layout is the
+    qualified name, the dataclass fields, NamedTuple ``_fields`` and
+    ``__slots__``.
+    """
+    layouts = [
+        (
+            f"{cls.__module__}.{cls.__qualname__}",
+            [f.name for f in dataclasses.fields(cls)]
+            if dataclasses.is_dataclass(cls)
+            else None,
+            getattr(cls, "_fields", None),
+            cls.__dict__.get("__slots__"),
+        )
+        for cls in RESULT_CLASSES
+    ]
+    return hashlib.sha256(repr(layouts).encode("utf-8")).hexdigest()
 
 
 # ----------------------------------------------------------------------
@@ -478,6 +519,7 @@ class SweepExecutor:
         if (
             not isinstance(payload, dict)
             or payload.get("version") != CACHE_SCHEMA_VERSION
+            or payload.get("layout") != _result_layout()
         ):
             return None
         results = payload.get("results")
@@ -491,6 +533,7 @@ class SweepExecutor:
             self.cache_dir.mkdir(parents=True, exist_ok=True)
             payload = {
                 "version": CACHE_SCHEMA_VERSION,
+                "layout": _result_layout(),
                 "point_key": point.key,
                 "results": runs,
             }

@@ -203,14 +203,15 @@ class WorkloadSpec:
     def make_source(
         self, client: int, streams: RandomStreams, memos: dict | None = None
     ) -> MarkovChainSource:
-        """Per-client reference source (independent RNG stream; ``memos``
-        as in :class:`~repro.workload.markov_source.MarkovChainSource`)."""
+        """Per-client reference source (independent RNG stream, which
+        the source takes over from ``streams``; ``memos`` as in
+        :class:`~repro.workload.markov_source.MarkovChainSource`)."""
         return MarkovChainSource(
             self.make_catalog(client),
             follow_probability=float(
                 self.client_param(client, "follow_probability")
             ),
-            rng=streams.get(f"client{client}/items"),
+            rng=streams.pop(f"client{client}/items"),
             memos=memos,
         )
 
@@ -231,7 +232,8 @@ class WorkloadSpec:
         schedule: PhaseSchedule,
         memos: dict | None = None,
     ) -> tuple[MarkovChainSource, ...]:
-        """One reference source per item variant (dedicated RNG streams).
+        """One reference source per item variant (dedicated RNG streams,
+        taken over from ``streams``).
 
         The base variant keeps the unphased stream name
         (``client<c>/items``) and the workload's own catalogue, so a
@@ -249,7 +251,7 @@ class WorkloadSpec:
         q = float(self.client_param(client, "follow_probability"))
         return tuple(
             MarkovChainSource(
-                catalog, follow_probability=q, rng=streams.get(name), memos=memos
+                catalog, follow_probability=q, rng=streams.pop(name), memos=memos
             )
             for catalog, name in zip(catalogs, names)
         )
@@ -271,7 +273,7 @@ def entity_stream_names(
     ``random`` cache policy adds an eviction stream.  Builds pass this
     list to :meth:`RandomStreams.derive`: a simulation first derives the
     arrival streams (``items=False``) of the entities it screens for a
-    first arrival, then every stream of the entities it builds.  A new
+    first arrival, then the other streams of the entities it builds.  A new
     per-entity stream must be listed here as well: one that is not still
     gets the right state from ``RandomStreams.get``, one derivation at a
     time.

@@ -284,7 +284,8 @@ def test_sparse_class_rows_partition_the_totals(sparse_ran):
 
 
 def test_no_idle_arrival_stream_stays_registered(sparse_ran):
+    # Nor any other per-entity stream: each went to its consumer (a
+    # source, a cache, an arrival iterator) and dies with it.
     sim, _, entities, arrives = sparse_ran
-    registered = sim.streams._streams
-    for (label, _), arrived in zip(entities, arrives):
-        assert (f"{label}/arrivals" in registered) == arrived, label
+    assert 0 < sum(arrives) < len(entities)
+    assert set(sim.streams._streams) == {"origin/sizes"}

@@ -5,13 +5,16 @@ per-client (or per-class) stream with ``RandomStreams.derive``.  Each
 derived generator must start in the state ``RandomStreams(seed).get``
 gives it, the build must derive exactly the names its loop and drivers
 read, and the runs must reproduce, bit for bit, the metrics the
-one-name-at-a-time derivation produced (literal values below).
+one-name-at-a-time derivation produced (literal values below).  The
+registry hands each stream over to its consumer, so the tests watch
+what is derived (``stream_watch``), not what the registry holds.
 """
 
 import hashlib
 
-import numpy as np
 import pytest
+
+from stream_watch import watch_streams
 
 from repro.des.rng import BATCH_CROSSOVER, RandomStreams
 from repro.sim import SimulationConfig
@@ -107,25 +110,23 @@ class TestBatchedBuild:
         config = BUILDS[build][0]()
         names = _entity_names(config)
         assert len(names) >= BATCH_CROSSOVER
-        sim = Simulation(config)
-        streams = sim.streams._streams
-        assert set(streams) == {"origin/sizes", *names}
+        with watch_streams() as watch:
+            Simulation(config)
+        assert sorted(watch.names()) == sorted(["origin/sizes", *names])
         # Every entity stream came from the one batch (``get`` would have
         # backed it with a SeedSequence), arrival streams included.
-        batched = {
-            name
-            for name, gen in streams.items()
-            if not isinstance(gen.bit_generator.seed_seq, np.random.SeedSequence)
-        }
+        batched = {d.name for d in watch.derived if d.batched}
         assert batched == set(names)
-        for name, gen in streams.items():
-            fresh = RandomStreams(config.seed).get(name)
-            assert gen.bit_generator.state == fresh.bit_generator.state, name
+        for derived in watch.derived:
+            fresh = RandomStreams(config.seed).get(derived.name)
+            assert derived.state == fresh.bit_generator.state, derived.name
 
     def test_metrics_pinned(self, build):
         make, pinned = BUILDS[build]
-        sim = Simulation(make())
-        out = sim.run()
+        with watch_streams() as watch:
+            sim = Simulation(make())
+            built = watch.names()
+            out = sim.run()
         m = out.metrics
         assert (
             m.requests,
@@ -137,8 +138,11 @@ class TestBatchedBuild:
             sum(c.evictions for c in out.cache_stats),
         ) == pinned
         assert len(out.cache_stats) == CLIENTS
-        # The run derived no stream the build had not.
-        assert set(sim.streams._streams) == {"origin/sizes", *_entity_names(make())}
+        # The run derived no stream the build had not, and the registry
+        # keeps none of the per-entity ones.
+        assert watch.names() == built
+        assert set(built) == {"origin/sizes", *_entity_names(make())}
+        assert set(sim.streams._streams) == {"origin/sizes"}
 
 
 @pytest.mark.parametrize(

@@ -6,10 +6,11 @@ The headline guarantee: fanning replications over worker processes changes
 ``compare_policies`` survives parallelisation.
 """
 
+import concurrent.futures
+
 import numpy as np
 import pytest
 
-import repro.sim.parallel as parallel_mod
 from repro.core.parameters import SystemParameters
 from repro.sim import (
     MirrorConfig,
@@ -83,7 +84,8 @@ class TestReplicationDeterminism:
         def no_pool(*args, **kwargs):
             raise AssertionError("jobs=None must not start a pool")
 
-        monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", no_pool)
+        # ReplicationExecutor.map imports the pool class when it needs one.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         unspecified = run_mirror_replications(_mirror_config(), replications=3)
         serial = run_mirror_replications(_mirror_config(), replications=3, jobs=1)
         _assert_identical(serial, unspecified)

@@ -9,7 +9,10 @@ twice, with the constant at 0 (nothing screened) and at +inf (every
 synthetic entity screened), and the two runs must give the same output
 fingerprint (``perfbench.checks.fingerprint``) and the same event counts.
 The screen derives its arrival streams ``simulation.SCREEN_BATCH`` at a
-time, and the batch size must move nothing either.
+time, and the batch size must move nothing either.  What a build derives
+and keeps alive is watched through ``stream_watch``: each per-entity
+stream is derived once, and no screened entity's arrival generator
+outlives the screen.
 
 Cooperative migration is the one exclusion: it admits migrated items into
 every cache homed at a node, idle entities' included.
@@ -26,12 +29,13 @@ from unittest import mock
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from stream_watch import watch_streams
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 sys.path.insert(0, str(REPO_ROOT))
 
 from perfbench.checks import fingerprint  # noqa: E402
-from repro.des.rng import BATCH_CROSSOVER, RandomStreams  # noqa: E402
+from repro.des.rng import BATCH_CROSSOVER  # noqa: E402
 from repro.network.topology import CooperationConfig, TopologyConfig  # noqa: E402
 from repro.scenario import compile_config, load_scenario  # noqa: E402
 from repro.sim import simulation  # noqa: E402
@@ -191,44 +195,59 @@ class TestScreenBatchIsInvisible:
         assert single == whole
 
 
-def registry_marks(config: SimulationConfig) -> tuple[int, int]:
-    """(high-water mark of the stream registry during the build, the
-    streams it holds once the build is done)."""
-    marks = []
-
-    def counting(method):
-        def wrapper(streams, names):
-            result = method(streams, names)
-            marks.append(len(streams._streams))
-            return result
-
-        return wrapper
-
-    with mock.patch.object(
-        RandomStreams, "derive", counting(RandomStreams.derive)
-    ), mock.patch.object(RandomStreams, "get", counting(RandomStreams.get)):
-        sim = Simulation(config)
-    return max(marks), len(sim.streams._streams)
+#: 12 000 clients expecting 0.15 arrivals each: about 1 700 are built.
+SPARSE_12K = SimulationConfig(
+    workload=WorkloadSpec(num_clients=12_000, request_rate=900.0, catalog_size=60),
+    bandwidth=40.0,
+    cache_capacity=8,
+    policy="threshold-dynamic",
+    duration=2.0,
+    warmup=0.2,
+    seed=5,
+)
 
 
 def test_a_sparse_build_holds_one_screen_batch_at_a_time():
-    # 12 000 clients expecting 0.15 arrivals each: about 1 700 are built.
-    config = SimulationConfig(
-        workload=WorkloadSpec(
-            num_clients=12_000, request_rate=900.0, catalog_size=60
-        ),
-        bandwidth=40.0,
-        cache_capacity=8,
-        policy="threshold-dynamic",
-        duration=2.0,
-        warmup=0.2,
-        seed=5,
-    )
-    high_water, kept = registry_marks(config)
+    with watch_streams() as watch:
+        Simulation(SPARSE_12K)
+    # Live generators after each derivation, against those the built
+    # entities keep once the build is done.
+    high_water, kept = max(watch.marks), len(watch.alive())
     largest_batch = simulation.SCREEN_BATCH + BATCH_CROSSOVER - 1
     assert high_water <= kept + largest_batch
     # Deriving every screened entity's stream at once would break it.
-    assert config.workload.num_clients > kept + largest_batch
+    assert SPARSE_12K.workload.num_clients > kept + largest_batch
+
+
+def test_no_screened_arrival_generator_outlives_the_build():
+    # Every client of SPARSE_12K is screened: an idle one's generator is
+    # dropped after its first draw, an arriving one's after the screen
+    # drew its whole horizon.
+    with watch_streams() as watch:
+        sim = Simulation(SPARSE_12K)
+    arrivals = [d for d in watch.derived if d.name.endswith("/arrivals")]
+    assert len(arrivals) == SPARSE_12K.workload.num_clients
+    assert 0 < len(sim.clients) < len(arrivals)
+    assert [d.name for d in arrivals if d.alive] == []
+
+
+class TestEachStreamIsDerivedOnce:
+    @settings(
+        max_examples=15,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(
+        config=sparse_configs(),
+        below=st.sampled_from([0.0, simulation.SCREEN_BELOW_ARRIVALS, math.inf]),
+    )
+    def test_each_entity_stream_is_derived_once_per_build(self, config, below):
+        # A second derivation of a name would replay its draws: two
+        # consumers would share one stream's randomness.
+        with screening_below(below), watch_streams() as watch:
+            Simulation(config).run()
+        keys = [(d.registry, d.name) for d in watch.derived]
+        assert len(keys) == len(set(keys))
 
 
 def sparse_cooperative_migration() -> SimulationConfig:

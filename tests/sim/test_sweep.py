@@ -16,6 +16,7 @@ Contracts (mirroring ``test_parallel.py`` for the single-point engine):
 
 import dataclasses
 import inspect
+import io
 import pickle
 
 import numpy as np
@@ -35,6 +36,11 @@ from repro.sim import (
     run_mirror_replications,
     run_simulation_replications,
 )
+from repro.network.topology import TopologyConfig
+from repro.sim import sweep
+from repro.sim.faults import FaultEvent, FaultSchedule
+from repro.sim.mirror import run_mirror
+from repro.sim.simulation import run_simulation
 from repro.sim.sweep import CACHE_SCHEMA_VERSION, scenario_hash
 from repro.workload.sessions import WorkloadSpec
 from repro.workload.sizes import SizeDistribution
@@ -213,6 +219,39 @@ class TestResultCache:
         # the miss stored a current entry again
         assert engine.run([pt]).cache_hits == ("m",)
 
+    def test_entry_of_another_result_layout_is_re_simulated(self, tmp_path):
+        engine = SweepExecutor(jobs=1, cache_dir=tmp_path)
+        cold = engine.run(_grid(replications=1))
+        self._rewrite_entries(tmp_path, lambda p: p.update(layout="stale"))
+        stale = engine.run(_grid(replications=1))
+        assert set(stale.cache_misses) == set(cold.cache_misses)
+        for key in cold:
+            _assert_identical(stale[key], cold[key])
+        # The re-simulated entries carry the current layout: served again.
+        assert set(engine.run(_grid(replications=1)).cache_hits) == set(cold)
+
+    def test_entry_of_the_current_layout_is_served(self, tmp_path):
+        engine = SweepExecutor(jobs=1, cache_dir=tmp_path)
+        pt = SweepPoint(key="m", config=_mirror_config(), replications=1)
+        engine.run([pt])
+        (entry,) = tmp_path.glob("*.pkl")
+        assert pickle.loads(entry.read_bytes())["layout"] == sweep._result_layout()
+        assert engine.run([pt]).cache_hits == ("m",)
+
+    def test_a_layout_change_changes_the_digest(self, monkeypatch):
+        # CacheStats before it had slots: the same name and fields.
+        plain = dataclasses.make_dataclass(
+            "CacheStats",
+            [(f.name, f.type, f) for f in dataclasses.fields(sweep.CacheStats)],
+        )
+        plain.__module__ = sweep.CacheStats.__module__
+        current = sweep._result_layout()
+        swapped = tuple(
+            plain if cls is sweep.CacheStats else cls for cls in sweep.RESULT_CLASSES
+        )
+        monkeypatch.setattr(sweep, "RESULT_CLASSES", swapped)
+        assert sweep._result_layout() != current
+
     def test_entry_with_wrong_replication_count_is_a_miss(self, tmp_path):
         engine = SweepExecutor(jobs=1, cache_dir=tmp_path)
         pt = SweepPoint(key="m", config=_mirror_config(), replications=2)
@@ -258,6 +297,42 @@ class TestResultCache:
         h3 = scenario_hash(_mirror_config(bandwidth=60.0), replications=2,
                            base_seed=7)
         assert h1 == h2 != h3
+
+
+def _pickled_classes(obj) -> set:
+    """The ``repro`` classes whose instances pickling ``obj`` stores."""
+    found = set()
+
+    class Recorder(pickle.Pickler):
+        def reducer_override(self, value):
+            if type(value).__module__.startswith("repro."):
+                found.add(type(value))
+            return NotImplemented
+
+    Recorder(io.BytesIO()).dump(obj)
+    return found
+
+
+def test_result_classes_are_every_class_an_entry_pickles():
+    """A faulted two-proxy run on the aggregated backend reaches every
+    part of a ``SimulationOutput`` (shards, class rows, KPIs, the fault
+    timeline); the mirror returns its metrics."""
+    config = dataclasses.replace(
+        _sim_config(),
+        topology=TopologyConfig(num_proxies=2),
+        client_backend="aggregated",
+        faults=FaultSchedule(
+            events=(
+                FaultEvent(time=15.0, kind="proxy-fail", node=1),
+                FaultEvent(time=25.0, kind="proxy-recover", node=1),
+            ),
+            migration="cold",
+        ),
+    )
+    output = run_simulation(config)
+    assert output.client_classes and output.kpis.fault_timeline
+    reached = _pickled_classes([output, run_mirror(_mirror_config())])
+    assert reached == set(sweep.RESULT_CLASSES)
 
 
 class _UnpicklableSizes(SizeDistribution):

@@ -3,14 +3,18 @@
 SciPy more than doubles a process's memory, and no simulation calls it:
 only a confidence interval (``analysis/confidence.py``) and the Che
 solvers' ``fsolve`` fallbacks (``analysis/cachemodel.py``) do, and they
-import it when they run.  The benchmark's rounds fork from a process that
-has imported everything they use, so whatever that process loads sets
-every round's peak RSS.
+import it when they run.  Nor does a serial run load the process-pool
+modules (``multiprocessing``, ``concurrent.futures``, 1.5 MB):
+``ReplicationExecutor.map`` imports them only when it starts a pool.  The
+benchmark's rounds fork from a process that has imported everything they
+use, so whatever that process loads sets every round's peak RSS.
 
 The check runs in a fresh interpreter in which SciPy cannot be imported:
 it imports what ``perfbench/run.py`` imports, then builds, runs and
 checks one quick round of every benchmark workload, so neither a
 module-level import nor a lazy one on the run path can bring SciPy back.
+The pool modules stay unloaded until decoupled-tier, the one workload on
+the parallel node backend, runs last.
 """
 
 from __future__ import annotations
@@ -43,6 +47,9 @@ SCRIPT = textwrap.dedent(
     from repro.sim.simulation import Simulation
 
     for name, workload in WORKLOADS.items():
+        # After the imports and after every serial workload's round.
+        pool = [m for m in ("multiprocessing", "concurrent.futures") if m in sys.modules]
+        assert not pool, (name, pool)
         runs = []
         for make_config in workload(7, True):
             sim = Simulation(make_config())
@@ -57,6 +64,8 @@ SCRIPT = textwrap.dedent(
 
 
 def test_benchmark_rounds_run_without_scipy():
+    # The pool check covers every workload before the parallel one.
+    assert list(WORKLOADS)[-1] == "decoupled-tier"
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     done = subprocess.run(
         [sys.executable, "-c", SCRIPT, str(ROOT)],

@@ -10,6 +10,7 @@ from itertools import islice
 
 import numpy as np
 import pytest
+from stream_watch import watch_streams
 
 from repro.sim import SimulationConfig, run_simulation
 from repro.sim.simulation import Simulation
@@ -180,17 +181,19 @@ class TestEvictionStreams:
     """Only the ``random`` cache policy derives ``…/evictions`` streams."""
 
     @staticmethod
-    def _eviction_streams(sim):
-        return [name for name in sim.streams._streams if name.endswith("/evictions")]
+    def _eviction_streams(config):
+        """The eviction streams a build and run of ``config`` derive."""
+        with watch_streams() as watch:
+            Simulation(config).run()
+        return [name for name in watch.names() if name.endswith("/evictions")]
 
     @pytest.mark.parametrize("backend", ["per-client", "aggregated"])
     def test_lru_build_derives_no_eviction_stream(self, backend):
-        sim = Simulation(_random_cache_config(backend, cache_policy="lru"))
-        assert self._eviction_streams(sim) == []
+        config = _random_cache_config(backend, cache_policy="lru")
+        assert self._eviction_streams(config) == []
 
     def test_random_build_derives_one_per_cache(self):
-        sim = Simulation(_random_cache_config("per-client"))
-        assert sorted(self._eviction_streams(sim)) == [
+        assert sorted(self._eviction_streams(_random_cache_config("per-client"))) == [
             f"client{c}/evictions" for c in range(3)
         ]
 
